@@ -1,18 +1,16 @@
 #include "campaign/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
-#include <exception>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
 
-#include "netbase/annotated_mutex.hpp"
+#include "campaign/kernel.hpp"
 #include "netbase/dcheck.hpp"
-#include "netbase/flat_map.hpp"
-#include "netbase/rng.hpp"
 #include "netbase/spsc_ring.hpp"
 
 namespace beholder6::campaign {
@@ -33,12 +31,10 @@ double secs_since(PerfClock::time_point t0) {
 /// One stealable work unit: a whole (sub)shard. Free-running units are run
 /// start-to-finish on whichever worker claims them. Units of an *epoch
 /// family* (split children sharing an EpochBarrier) are claimed the same
-/// way but run one epoch at a time: a worker drives the unit until it
-/// pauses at its epoch boundary (or exhausts), and the family's last
-/// arrival performs the canonical barrier merge and requeues the rest.
-/// Units are expanded deterministically before any worker starts, so the
-/// unit list — like the shard list — is part of the fixed campaign spec,
-/// and the claim order never touches results.
+/// way but run one epoch at a time (the kernel's Scheduler requeues them at
+/// each barrier merge). Units are expanded deterministically before any
+/// worker starts, so the unit list — like the shard list — is part of the
+/// fixed campaign spec, and the claim order never touches results.
 struct WorkUnit {
   ProbeSource* source = nullptr;  // borrowed (unsplit) or owned by `owned`
   std::size_t parent = 0;         // index into the shard list
@@ -46,15 +42,7 @@ struct WorkUnit {
   bool record = false;            // stream this unit's replies to the merger
   bool live_sink = false;         // deliver the parent sink per reply, inline
   bool sink_on_merge = false;     // merger delivers the parent sink instead
-  std::int32_t family = -1;       // epoch family index, -1 = free-running
-};
-
-/// Stats one unit's run produces, keyed by unit index — workers share
-/// nothing mutable but the scheduler's queue state (under its mutex) and
-/// their own reply rings.
-struct UnitResult {
-  ProbeStats stats;
-  simnet::NetworkStats net;
+  bool epoch = false;             // member of an epoch family
 };
 
 /// One item of a worker's reply ring. Replies carry their merge timestamp;
@@ -85,8 +73,8 @@ constexpr std::size_t kRingCapacity = 1024;
 constexpr std::uint64_t kWatermarkEvery = 1024;
 
 /// Per-worker mutable arena: the worker's private Network replica
-/// (constructed once, on first claim, and reset() between the units it
-/// steals — so one worker pays one replica build however many units it
+/// (constructed once, on first claim, and reset() between the free units
+/// it steals — so one worker pays one replica build however many units it
 /// runs) plus its perf counters. Cache-line alignment keeps one worker's
 /// live counters off its neighbours' lines.
 struct alignas(64) WorkerArena {
@@ -94,145 +82,56 @@ struct alignas(64) WorkerArena {
   WorkerPerf perf;
 };
 
-/// Replica + runner + stream bookkeeping that must survive across a
-/// unit's epochs. Free units use their worker's arena; only epoch-family
-/// units pay for a persistent context (created lazily, on the worker that
-/// first claims the unit, and handed between workers through the
-/// scheduler mutex). `ring`/`perf` point at the *current* driving
-/// worker's ring and counters — rebound before every epoch, because the
-/// unit migrates.
-struct EpochUnitContext {
-  std::unique_ptr<simnet::Network> net;
+/// The one unit driver: a unit's runner over its replica plus its reply
+/// stream state. A free unit borrows its worker's arena replica and runs
+/// start to finish; an epoch unit owns its replica, which outlives the
+/// unit's epochs as it migrates between workers (handed over by the
+/// scheduler mutex). `ring`/`perf` point at the *current* driving worker's
+/// ring and counters — rebound at every claim. Workers share nothing
+/// mutable but the scheduler's state (under its mutex) and their own rings.
+struct UnitDriver {
+  std::unique_ptr<simnet::Network> owned_net;  // epoch units only
+  simnet::Network* net = nullptr;
   std::unique_ptr<CampaignRunner> runner;
   netbase::SpscRing<RingItem>* ring = nullptr;
   WorkerPerf* perf = nullptr;
-  std::uint64_t seq = 0;       // next ring-item seq for this unit
-  std::uint64_t steps = 0;     // steps since the last watermark
-};
+  std::uint32_t unit = 0;
+  std::uint64_t seq = 0;    // next ring-item seq for this unit
+  std::uint64_t steps = 0;  // steps since the last watermark
+  ProbeStats stats;         // final, once the unit exhausts
+  simnet::NetworkStats net_stats;
 
-/// One split family driven in lockstep epochs. `arrived`/`active` are
-/// touched only under the scheduler mutex; the merge itself runs with
-/// every member quiescent, so the family's shared stop-set state needs no
-/// locking of its own.
-struct EpochFamily {
-  EpochBarrier* barrier = nullptr;
-  std::vector<std::size_t> members;  // unit indexes, canonical order
-  std::size_t arrived = 0;           // members paused/exhausted this epoch
-  // Barrier-protocol invariant (DCHECK): each *live* member arrives exactly
-  // once per epoch. Indexed by the unit's subshard (stable across the
-  // exhausted-member erasures that shrink `members`).
-  std::vector<char> arrived_flags;
-};
-
-/// Scheduler: a FIFO of claimable unit indexes plus the epoch-barrier
-/// bookkeeping, everything mutable guarded by one mutex. Free units leave
-/// the queue once; epoch units cycle through it once per epoch, re-enqueued
-/// by their family's barrier merge. The claim order never touches results
-/// (free units are independent; epoch merges are ordered by the barrier
-/// protocol, not by arrival).
-///
-/// This is the class form of what used to be loose locals in run(): the
-/// B6_GUARDED_BY annotations make the Clang thread-safety pass
-/// (CI `thread-safety` job) prove that every touch of the queue, the
-/// arrival flags, and the error slot happens under the mutex. Per-unit
-/// state (unit_results, epoch_ctx) deliberately stays outside: exactly one
-/// worker owns a unit between claim() and report(), and the mutex
-/// hand-off in those two calls is what publishes its writes to the next
-/// claimant — a transfer the analysis cannot express, so the contract
-/// lives here in words instead of an annotation.
-class Scheduler {
- public:
-  /// `units` must outlive the scheduler and is immutable during the run.
-  Scheduler(const std::vector<WorkUnit>& units,
-            std::vector<EpochFamily> families)
-      : units_(units),
-        families_(std::move(families)),
-        unfinished_(units.size()),
-        exhausted_(units.size(), 0) {
-    for (std::size_t u = 0; u < units_.size(); ++u) ready_.push_back(u);
-  }
-
-  /// Claim the next ready unit; blocks while the queue is empty. Returns
-  /// nullopt once the campaign is finished or a worker has failed.
-  std::optional<std::size_t> claim() B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    // Explicit wait loop: the guarded reads must sit in this annotated
-    // method, not in a wait-predicate lambda (lambda bodies are analyzed
-    // as separate functions with no capability context).
-    while (ready_.empty() && unfinished_ != 0 && !error_) cv_.wait(lock);
-    if (error_ || unfinished_ == 0) return std::nullopt;
-    const std::size_t u = ready_.front();
-    ready_.pop_front();
-    return u;
-  }
-
-  /// Report a claimed unit back: exhausted (`done`) or paused at its epoch
-  /// barrier. The family's last arrival merges the epoch deltas (every
-  /// sibling is quiescent — it paused or exhausted before reporting in
-  /// under this mutex, which is also what makes its delta writes visible
-  /// here) and requeues the survivors.
-  void report(std::size_t u, bool done) B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    if (done) {
-      exhausted_[u] = 1;
-      --unfinished_;
+  /// Push one item, yielding while the ring is full (backpressure).
+  void push(RingItem::Kind kind, const wire::DecodedReply& reply = {}) {
+    const RingItem item{kind, unit, seq++, net->now_us(), reply};
+    while (!ring->try_push(item)) {
+      ++perf->ring_stalls;
+      std::this_thread::yield();
     }
-    if (units_[u].family >= 0) {
-      EpochFamily& fam = families_[static_cast<std::size_t>(units_[u].family)];
-      B6_DCHECK(fam.arrived_flags[units_[u].subshard] == 0,
-                "epoch-family unit reported a barrier arrival twice in one "
-                "epoch — the EpochBarrier schedule is broken");
-      fam.arrived_flags[units_[u].subshard] = 1;
-      B6_DCHECK(fam.arrived < fam.members.size(),
-                "more barrier arrivals than live family members");
-      if (++fam.arrived == fam.members.size()) {
-        fam.barrier->merge_epoch();
-        fam.arrived = 0;
-        // Drop exhausted members in place (a lambda for erase_if would
-        // fall outside the analysis' capability context).
-        std::size_t keep = 0;
-        for (const std::size_t m : fam.members)
-          if (exhausted_[m] == 0) fam.members[keep++] = m;
-        fam.members.resize(keep);
-        for (const std::size_t m : fam.members) {
-          fam.arrived_flags[units_[m].subshard] = 0;
-          ready_.push_back(m);
-        }
+    ++perf->ring_pushes;
+  }
+
+  /// Step until exhaustion (true) or, for an epoch unit, its next epoch
+  /// pause (false). A recording unit interleaves a watermark every
+  /// kWatermarkEvery steps and at each pause, and a done marker at
+  /// exhaustion. Free units compile without the per-step pause check.
+  template <bool kEpoch>
+  bool drive(const ProbeSource& source, bool record) {
+    while (!runner->done()) {
+      runner->step();
+      if (record && ++steps == kWatermarkEvery) {
+        steps = 0;
+        push(RingItem::Kind::kWatermark);
+      }
+      if (kEpoch && source.epoch_paused()) {
+        // The pause watermark keeps the merger's frontier moving while the
+        // family waits for its laggards.
+        if (record) push(RingItem::Kind::kWatermark);
+        return false;
       }
     }
-    cv_.notify_all();
-  }
-
-  /// Record the first failure and wake everyone so the pool drains.
-  void fail(std::exception_ptr e) B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    if (!error_) error_ = std::move(e);
-    cv_.notify_all();
-  }
-
-  /// The first failure, if any. Meant for after the pool has joined, but
-  /// takes the mutex so it is safe (and provably so) at any point.
-  [[nodiscard]] std::exception_ptr error() B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    return error_;
-  }
-
- private:
-  const std::vector<WorkUnit>& units_;  // immutable during the run
-
-  netbase::Mutex mu_;
-  netbase::CondVar cv_;
-  std::deque<std::size_t> ready_ B6_GUARDED_BY(mu_);
-  std::vector<EpochFamily> families_ B6_GUARDED_BY(mu_);
-  std::size_t unfinished_ B6_GUARDED_BY(mu_);
-  std::vector<char> exhausted_ B6_GUARDED_BY(mu_);
-  std::exception_ptr error_ B6_GUARDED_BY(mu_);
-};
-
-/// FlatSet hasher for route keys (warmup dedup).
-struct RouteKeyHash {
-  std::size_t operator()(const simnet::RouteKey& k) const {
-    return static_cast<std::size_t>(splitmix64(k.cell ^ splitmix64(k.meta)));
+    if (record) push(RingItem::Kind::kDone);
+    return true;
   }
 };
 
@@ -241,16 +140,11 @@ struct RouteKeyHash {
 /// holdback, see RingItem::seq), and the frontier bound. Only units with
 /// WorkUnit::record participate.
 struct UnitBuf {
-  struct Pending {
-    std::uint64_t seq = 0;
-    std::uint64_t virtual_us = 0;
-    wire::DecodedReply reply;
-  };
-  std::deque<Pending> buf;           // seq order == arrival order
-  std::vector<RingItem> held;        // out-of-order items, any order
-  std::uint64_t next_seq = 0;        // first seq not yet serialized
-  std::uint64_t lb = 0;              // no future reply is earlier than this
-  bool done = false;                 // retired from frontier gating
+  std::deque<ShardReply> buf;              // replies, seq == arrival order
+  std::map<std::uint64_t, RingItem> held;  // out-of-order items, by seq
+  std::uint64_t next_seq = 0;              // first seq not yet serialized
+  std::uint64_t lb = 0;  // no future reply is earlier than this
+  bool done = false;     // retired from frontier gating
 };
 
 }  // namespace
@@ -269,7 +163,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   // EpochBarrier form an epoch family, scheduled in lockstep epochs.
   std::vector<std::unique_ptr<ProbeSource>> owned;
   std::vector<WorkUnit> units;
-  std::vector<EpochFamily> families;
+  std::vector<Scheduler::Family> families;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Shard& shard = shards[i];
     auto children = options.split_factor > 1
@@ -277,422 +171,228 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
                         : std::vector<std::unique_ptr<ProbeSource>>{};
     if (children.empty()) {
       units.push_back({shard.source, i, 0, options.collect_replies,
-                       shard.sink != nullptr, false, -1});
-    } else {
-      // A single-child "split" is still one unit: its sink stays live.
-      const bool split = children.size() > 1;
-      // Epoch-coupled children all return their family's one barrier; a
-      // mixed family would be a broken split() implementation.
-      EpochBarrier* barrier = children[0]->epoch_barrier();
-      std::int32_t family = -1;
-      if (barrier != nullptr) {
-        family = static_cast<std::int32_t>(families.size());
-        families.push_back(
-            {barrier, {}, 0, std::vector<char>(children.size(), 0)});
-      }
-      for (std::uint32_t j = 0; j < children.size(); ++j) {
-        if (family >= 0)
-          families.back().members.push_back(units.size());
-        const bool merge_sink = split && shard.sink != nullptr;
-        units.push_back({children[j].get(), i, j,
-                         options.collect_replies || merge_sink,
-                         !split && shard.sink != nullptr, merge_sink, family});
-        owned.push_back(std::move(children[j]));
-      }
+                       shard.sink != nullptr, false, false});
+      continue;
     }
+    // A single-child "split" is still one unit: its sink stays live.
+    const bool split = children.size() > 1;
+    const bool merge_sink = split && shard.sink != nullptr;
+    // Epoch-coupled children all return their family's one barrier; a
+    // mixed family would be a broken split() implementation.
+    EpochBarrier* barrier = children[0]->epoch_barrier();
+    const std::size_t first = units.size();
+    std::vector<ProbeSource*> members;
+    for (std::uint32_t j = 0; j < children.size(); ++j) {
+      members.push_back(children[j].get());
+      units.push_back({children[j].get(), i, j,
+                       options.collect_replies || merge_sink,
+                       !split && shard.sink != nullptr, merge_sink,
+                       barrier != nullptr});
+      owned.push_back(std::move(children[j]));
+    }
+    if (barrier != nullptr)
+      families.push_back({first, EpochFamily{barrier, std::move(members)}});
   }
-  std::vector<UnitResult> unit_results(units.size());
-  std::vector<EpochUnitContext> epoch_ctx(units.size());
+  std::vector<UnitDriver> drivers(units.size());
 
   // ---- The shared immutable tier: warm the route snapshot once -----------
   // Before any worker exists, resolve every route the campaign will hit
-  // into one read-only RouteCache and hand a shared_ptr-to-const of it to
-  // every replica. The snapshot's content is a pure function of the shard
-  // list (keys are collected in canonical shard/target order, first seen
-  // wins), its entries are exactly what Topology::path returns, and after
-  // this block it is never written again — which is what lets any number
-  // of workers hit it lock-free. route_cache_entries == 0 means "this
-  // campaign wants no route caching at all" (the legacy-path benchmark
-  // measures exactly that), so it disables the snapshot too.
+  // into one read-only snapshot shared by every replica. Its content is a
+  // pure function of the shard list (keys are collected in canonical
+  // shard/target order, first seen wins), and after this block it is never
+  // written again — which is what lets any number of workers hit it
+  // lock-free. route_cache_entries == 0 means "this campaign wants no
+  // route caching at all" (the legacy-path benchmark measures exactly
+  // that), so it disables the snapshot too.
   std::shared_ptr<const simnet::RouteCache> snapshot;
   if (options.share_route_snapshot && params_->route_cache_entries != 0 &&
       !units.empty()) {
     const auto warm_t0 = PerfClock::now();
-    // Key collection: one probe encode per (endpoint, target) recovers the
-    // exact RouteKey every probe to that target resolves under — the wire
-    // format keeps the transport bytes that feed the ECMP flow hash
-    // per-target constant (the paper's checksum fudge), so ttl 1 at time 0
-    // stands in for the whole trace.
-    std::vector<simnet::Network::ProbeRouteKey> keys;
-    netbase::FlatSet<simnet::RouteKey, RouteKeyHash> seen;
-    std::vector<std::uint8_t> encode_buf;
-    for (const Shard& shard : shards) {
-      for (const auto& target : shard.source->route_warm_targets()) {
-        wire::encode_probe_into(probe_spec_at(shard.endpoint, target, 1, 0),
-                                encode_buf);
-        const auto key = simnet::Network::probe_route_key(topo_, encode_buf);
-        if (!key) continue;
-        if (seen.insert(key->key).second) keys.push_back(*key);
-      }
-    }
-    if (!keys.empty()) {
-      // Fork-join path resolution: Topology::path is const and internally
-      // synchronized (the annotated as_path memo), so the expensive
-      // resolutions fan out across threads into per-key slots; the cache
-      // inserts then run serially in canonical key order, keeping the
-      // snapshot layout deterministic.
-      std::vector<simnet::Path> paths(keys.size());
-      const unsigned hw0 = std::max(1u, std::thread::hardware_concurrency());
-      const std::size_t resolvers = std::min<std::size_t>(
-          {n_threads_ ? n_threads_ : hw0, keys.size() / 512 + 1, 64});
-      auto resolve_range = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& pk = keys[k];
-          paths[k] = topo_.path(topo_.vantages()[pk.vantage_index], pk.dst,
-                                pk.flow_variant, pk.next_header);
-        }
-      };
-      if (resolvers <= 1) {
-        resolve_range(0, keys.size());
-      } else {
-        std::vector<std::thread> pool;
-        pool.reserve(resolvers);
-        for (std::size_t t = 0; t < resolvers; ++t)
-          pool.emplace_back(resolve_range, keys.size() * t / resolvers,
-                            keys.size() * (t + 1) / resolvers);
-        for (auto& th : pool) th.join();
-      }
-      auto cache = std::make_shared<simnet::RouteCache>();
-      for (std::size_t k = 0; k < keys.size(); ++k)
-        (void)cache->insert(keys[k].key, paths[k]);
-      snapshot = std::move(cache);
-    }
-    result.warmed_routes = keys.size();
+    RouteWarmer warmer{pool_size(n_threads_)};
+    for (const Shard& shard : shards)
+      warmer.add(topo_, shard.endpoint, shard.source->route_warm_targets());
+    warmer.resolve(topo_);
+    snapshot = warmer.snapshot();
+    result.warmed_routes = warmer.routes();
     result.warmup_seconds = secs_since(warm_t0);
   }
 
   // ---- Worker pool over per-worker arenas and reply rings -----------------
-  Scheduler sched{units, std::move(families)};
+  Scheduler sched{units.size(), std::move(families)};
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(units.size(), pool_size(n_threads_)));
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      std::min<std::size_t>(units.size(), n_threads_ ? n_threads_ : hw);
-
-  bool need_merge = false;
   std::vector<std::uint32_t> rec_units;
   for (std::uint32_t u = 0; u < units.size(); ++u)
     if (units[u].record) rec_units.push_back(u);
-  need_merge = !rec_units.empty();
+  const bool need_merge = !rec_units.empty();
 
-  std::vector<WorkerArena> arenas(std::max<std::size_t>(1, workers));
+  std::vector<WorkerArena> arenas(workers);
   std::vector<std::unique_ptr<netbase::SpscRing<RingItem>>> rings;
-  if (need_merge) {
-    rings.reserve(arenas.size());
-    for (std::size_t w = 0; w < arenas.size(); ++w)
-      rings.push_back(
-          std::make_unique<netbase::SpscRing<RingItem>>(kRingCapacity));
-  }
-  std::atomic<std::size_t> active_workers{std::max<std::size_t>(1, workers)};
+  for (std::size_t w = 0; need_merge && w < workers; ++w)
+    rings.push_back(std::make_unique<netbase::SpscRing<RingItem>>(kRingCapacity));
 
-  // The worker body. `w` indexes the worker's arena and ring. Claims
-  // units, runs them over the arena replica (constructed on first claim,
-  // reset() afterwards — the immutable tier makes reset cheap because the
-  // warmed routes never leave the shared snapshot), and streams recorded
-  // replies into its SPSC ring.
-  auto worker = [&](std::size_t w) {
+  // Run (or resume) unit `u` on worker `w`: build its runner on first claim
+  // — over the worker's arena replica (constructed once, reset() after;
+  // the immutable tier makes reset cheap because the warmed routes never
+  // leave the shared snapshot) or, for an epoch unit, over a replica of its
+  // own — then drive it and record its results once it exhausts.
+  auto drive_unit = [&](std::size_t w, std::size_t u) -> bool {
+    const auto unit_t0 = PerfClock::now();
+    const WorkUnit& unit = units[u];
+    const Shard& shard = shards[unit.parent];
+    UnitDriver& d = drivers[u];
     WorkerArena& arena = arenas[w];
-    netbase::SpscRing<RingItem>* ring = need_merge ? rings[w].get() : nullptr;
-
-    auto push = [&](const RingItem& item) {
-      while (!ring->try_push(item)) {
-        ++arena.perf.ring_stalls;
-        std::this_thread::yield();
-      }
-      ++arena.perf.ring_pushes;
-    };
-
-    // One free-running unit, start to finish. Recording units step
-    // manually so watermarks interleave (behaviour-identical to run():
-    // CampaignRunner::run is exactly the step loop).
-    auto run_free_unit = [&](std::size_t u) {
-      const WorkUnit& unit = units[u];
-      const Shard& shard = shards[unit.parent];
-      if (!arena.net) {
-        arena.net.emplace(topo_, params_);
-        arena.net->set_shared_routes(snapshot);
-      } else {
+    if (!d.runner) {
+      if (unit.epoch) {
+        d.owned_net = std::make_unique<simnet::Network>(topo_, params_);
+      } else if (arena.net) {
         arena.net->reset();
-      }
-      simnet::Network& net = *arena.net;
-      CampaignRunner runner{net};
-      auto& out = unit_results[u];
-      std::uint64_t seq = 0;
-      if (unit.record) {
-        runner.add(*unit.source, shard.endpoint, shard.pacing,
-                   [&](const wire::DecodedReply& r) {
-                     RingItem item;
-                     item.kind = RingItem::Kind::kReply;
-                     item.unit = static_cast<std::uint32_t>(u);
-                     item.seq = seq++;
-                     item.virtual_us = net.now_us();
-                     item.reply = r;
-                     push(item);
-                     if (unit.live_sink) shard.sink(r);
-                   });
-        std::uint64_t steps = 0;
-        while (!runner.done()) {
-          runner.step();
-          if (++steps == kWatermarkEvery) {
-            steps = 0;
-            push({RingItem::Kind::kWatermark, static_cast<std::uint32_t>(u),
-                  seq++, net.now_us(), {}});
-          }
-        }
-        push({RingItem::Kind::kDone, static_cast<std::uint32_t>(u), seq++,
-              net.now_us(), {}});
-        out.stats = runner.stats()[0];
       } else {
-        runner.add(*unit.source, shard.endpoint, shard.pacing,
-                   unit.live_sink ? shard.sink : ResponseSink{});
-        out.stats = runner.run()[0];
+        arena.net.emplace(topo_, params_);
       }
-      out.net = net.stats();
-    };
-
-    // Drive an epoch-family unit for one epoch: resume it if paused, step
-    // until the next epoch boundary or exhaustion. Returns true once the
-    // unit is exhausted (its results are then final). The persistent
-    // context travels with the unit between workers (published by the
-    // scheduler mutex); only its ring/perf bindings are ours.
-    auto drive_epoch_unit = [&](std::size_t u) -> bool {
-      const WorkUnit& unit = units[u];
-      const Shard& shard = shards[unit.parent];
-      auto& ctx = epoch_ctx[u];
-      auto& out = unit_results[u];
-      if (!ctx.runner) {
-        ctx.net = std::make_unique<simnet::Network>(topo_, params_);
-        ctx.net->set_shared_routes(snapshot);
-        ctx.runner = std::make_unique<CampaignRunner>(*ctx.net);
-        EpochUnitContext* c = &ctx;
-        simnet::Network* net = ctx.net.get();
-        if (unit.record) {
-          ctx.runner->add(
-              *unit.source, shard.endpoint, shard.pacing,
-              [&unit, &shard, c, net, u](const wire::DecodedReply& r) {
-                RingItem item;
-                item.kind = RingItem::Kind::kReply;
-                item.unit = static_cast<std::uint32_t>(u);
-                item.seq = c->seq++;
-                item.virtual_us = net->now_us();
-                item.reply = r;
-                while (!c->ring->try_push(item)) {
-                  ++c->perf->ring_stalls;
-                  std::this_thread::yield();
-                }
-                ++c->perf->ring_pushes;
-                if (unit.live_sink) shard.sink(r);
-              });
-        } else {
-          ctx.runner->add(*unit.source, shard.endpoint, shard.pacing,
-                          unit.live_sink ? shard.sink : ResponseSink{});
-        }
-      }
-      ctx.ring = ring;
-      ctx.perf = &arena.perf;
-      if (unit.source->epoch_paused()) unit.source->epoch_resume();
-      while (!ctx.runner->done()) {
-        ctx.runner->step();
-        if (unit.record && ++ctx.steps == kWatermarkEvery) {
-          ctx.steps = 0;
-          push({RingItem::Kind::kWatermark, static_cast<std::uint32_t>(u),
-                ctx.seq++, ctx.net->now_us(), {}});
-        }
-        if (unit.source->epoch_paused()) {
-          // Barrier arrival. The pause watermark keeps the merger's
-          // frontier moving while the family waits for its laggards.
-          if (unit.record)
-            push({RingItem::Kind::kWatermark, static_cast<std::uint32_t>(u),
-                  ctx.seq++, ctx.net->now_us(), {}});
-          return false;
-        }
-      }
-      out.stats = ctx.runner->stats()[0];
-      out.net = ctx.net->stats();
+      d.net = unit.epoch ? d.owned_net.get() : &*arena.net;
+      d.net->set_shared_routes(snapshot);  // a reset arena keeps it anyway
+      d.unit = static_cast<std::uint32_t>(u);
+      d.runner = std::make_unique<CampaignRunner>(*d.net);
+      ResponseSink sink = unit.live_sink ? shard.sink : ResponseSink{};
       if (unit.record)
-        push({RingItem::Kind::kDone, static_cast<std::uint32_t>(u), ctx.seq++,
-              ctx.net->now_us(), {}});
-      // Release the persistent replica as early as the free-unit path does
-      // (runner first — it borrows the network).
-      ctx.runner.reset();
-      ctx.net.reset();
-      return true;
-    };
-
-    while (const auto claimed = sched.claim()) {
-      const std::size_t u = *claimed;
-      const auto unit_t0 = PerfClock::now();
-      bool done = false;
-      try {
-        if (units[u].family < 0) {
-          run_free_unit(u);
-          done = true;
-        } else {
-          done = drive_epoch_unit(u);
-        }
-      } catch (...) {
-        sched.fail(std::current_exception());
-        break;
-      }
-      ++arena.perf.units_run;
-      arena.perf.busy_seconds += secs_since(unit_t0);
-      sched.report(u, done);
+        sink = [&d, live = std::move(sink)](const wire::DecodedReply& r) {
+          d.push(RingItem::Kind::kReply, r);
+          if (live) live(r);
+        };
+      d.runner->add(*unit.source, shard.endpoint, shard.pacing, std::move(sink));
     }
-    active_workers.fetch_sub(1, std::memory_order_release);
+    d.ring = need_merge ? rings[w].get() : nullptr;
+    d.perf = &arena.perf;
+    const bool done = unit.epoch ? d.drive<true>(*unit.source, unit.record)
+                                 : d.drive<false>(*unit.source, unit.record);
+    if (done) {
+      d.stats = d.runner->stats()[0];
+      d.net_stats = d.net->stats();
+      // Release the unit's runner and any replica of its own at once
+      // (runner first — it borrows the network).
+      d.runner.reset();
+      d.owned_net.reset();
+    }
+    ++arena.perf.units_run;
+    arena.perf.busy_seconds += secs_since(unit_t0);
+    return done;
   };
 
-  if (!need_merge && workers <= 1) {
-    // Classic inline path: nothing to merge, one worker — run on the
-    // caller, no threads, no rings.
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(std::max<std::size_t>(1, workers));
-    for (std::size_t w = 0; w < std::max<std::size_t>(1, workers); ++w)
-      pool.emplace_back(worker, w);
+  auto merge = [&] {
+    // ---- The streaming merge (caller thread) ----------------------------
+    // Drain every worker's ring continuously and emit the canonical
+    // (virtual time, shard, subshard, arrival) order incrementally.
+    // Units are expanded parent-major, so the unit index order IS the
+    // (shard, subshard) lexicographic order and the frontier key is
+    // simply (virtual_us, unit).
+    //
+    // Emission rule: the earliest buffered head may be emitted iff its
+    // key is strictly below (lb[w], w) for every recording unit w that
+    // is not done and has nothing buffered — any future item of w is at
+    // or past that bound, and keys never collide across units (the unit
+    // component differs), so nothing earlier can still arrive. The
+    // merger never blocks producers: it keeps draining rings even while
+    // emission is gated, buffering into unbounded per-unit queues, so a
+    // full ring always empties and the pool cannot deadlock.
+    const auto merge_t0 = PerfClock::now();
+    std::vector<UnitBuf> bufs(units.size());
+    std::uint64_t merged = 0;
 
-    if (need_merge) {
-      // ---- The streaming merge (caller thread) --------------------------
-      // Drain every worker's ring continuously and emit the canonical
-      // (virtual time, shard, subshard, arrival) order incrementally.
-      // Units are expanded parent-major, so the unit index order IS the
-      // (shard, subshard) lexicographic order and the frontier key is
-      // simply (virtual_us, unit).
-      //
-      // Emission rule: the earliest buffered head may be emitted iff its
-      // key is strictly below (lb[w], w) for every recording unit w that
-      // is not done and has nothing buffered — any future item of w is at
-      // or past that bound, and keys never collide across units (the unit
-      // component differs), so nothing earlier can still arrive. The
-      // merger never blocks producers: it keeps draining rings even while
-      // emission is gated, buffering into unbounded per-unit queues, so a
-      // full ring always empties and the pool cannot deadlock.
-      const auto merge_t0 = PerfClock::now();
-      std::vector<UnitBuf> bufs(units.size());
-      std::uint64_t merged = 0;
+    auto serialize = [&](const RingItem& item) {
+      // Re-serialize per unit by seq: an epoch unit's items can surface
+      // from two rings out of order around a barrier migration.
+      UnitBuf& b = bufs[item.unit];
+      auto apply = [&](const RingItem& it) {
+        switch (it.kind) {
+          case RingItem::Kind::kReply:
+            b.buf.push_back({it.virtual_us,
+                             static_cast<std::uint32_t>(units[it.unit].parent),
+                             units[it.unit].subshard, it.reply});
+            if (it.virtual_us > b.lb) b.lb = it.virtual_us;
+            break;
+          case RingItem::Kind::kWatermark:
+            if (it.virtual_us > b.lb) b.lb = it.virtual_us;
+            break;
+          case RingItem::Kind::kDone:
+            b.done = true;
+            break;
+        }
+        ++b.next_seq;
+      };
+      if (item.seq != b.next_seq) {
+        b.held.emplace(item.seq, item);
+        return;
+      }
+      apply(item);
+      for (auto it = b.held.begin();
+           it != b.held.end() && it->first == b.next_seq; it = b.held.erase(it))
+        apply(it->second);
+    };
 
-      auto serialize = [&](const RingItem& item) {
-        // Re-serialize per unit by seq: an epoch unit's items can surface
-        // from two rings out of order around a barrier migration.
-        UnitBuf& b = bufs[item.unit];
-        auto apply = [&](const RingItem& it) {
-          switch (it.kind) {
-            case RingItem::Kind::kReply:
-              b.buf.push_back({it.seq, it.virtual_us, it.reply});
-              if (it.virtual_us > b.lb) b.lb = it.virtual_us;
-              break;
-            case RingItem::Kind::kWatermark:
-              if (it.virtual_us > b.lb) b.lb = it.virtual_us;
-              break;
-            case RingItem::Kind::kDone:
-              b.done = true;
-              break;
-          }
-          ++b.next_seq;
+    auto drain_rings = [&]() -> bool {
+      bool any = false;
+      RingItem item;
+      for (auto& r : rings)
+        while (r->try_pop(item)) {
+          any = true;
+          serialize(item);
+        }
+      return any;
+    };
+
+    auto emit_ready = [&](bool final_flush) {
+      for (;;) {
+        std::size_t best = units.size();
+        for (const auto u : rec_units) {
+          if (bufs[u].buf.empty()) continue;
+          if (best == units.size() ||
+              bufs[u].buf.front().virtual_us <
+                  bufs[best].buf.front().virtual_us)
+            best = u;  // ties keep the earlier unit: rec_units ascends
+        }
+        if (best == units.size()) return;
+        const auto& head = bufs[best].buf.front();
+        const auto gates = [&](std::uint32_t w) {
+          return w != best && !bufs[w].done && bufs[w].buf.empty() &&
+                 (head.virtual_us > bufs[w].lb ||
+                  (head.virtual_us == bufs[w].lb && best > w));
         };
-        if (item.seq != b.next_seq) {
-          b.held.push_back(item);
+        if (!final_flush && std::any_of(rec_units.begin(), rec_units.end(), gates))
           return;
-        }
-        apply(item);
-        while (!b.held.empty()) {
-          bool found = false;
-          for (std::size_t h = 0; h < b.held.size(); ++h) {
-            if (b.held[h].seq == b.next_seq) {
-              apply(b.held[h]);
-              b.held[h] = b.held.back();
-              b.held.pop_back();
-              found = true;
-              break;
-            }
-          }
-          if (!found) break;
-        }
-      };
-
-      auto drain_rings = [&]() -> bool {
-        bool any = false;
-        RingItem item;
-        for (auto& r : rings)
-          while (r->try_pop(item)) {
-            any = true;
-            serialize(item);
-          }
-        return any;
-      };
-
-      auto emit_ready = [&](bool final_flush) {
-        for (;;) {
-          std::size_t best = units.size();
-          for (const auto u : rec_units) {
-            if (bufs[u].buf.empty()) continue;
-            if (best == units.size() ||
-                bufs[u].buf.front().virtual_us <
-                    bufs[best].buf.front().virtual_us)
-              best = u;  // ties keep the earlier unit: rec_units ascends
-          }
-          if (best == units.size()) return;
-          const auto& head = bufs[best].buf.front();
-          if (!final_flush) {
-            bool gated = false;
-            for (const auto w : rec_units) {
-              if (w == best || bufs[w].done || !bufs[w].buf.empty()) continue;
-              if (head.virtual_us > bufs[w].lb ||
-                  (head.virtual_us == bufs[w].lb && best > w)) {
-                gated = true;
-                break;
-              }
-            }
-            if (gated) return;
-          }
-          const WorkUnit& unit = units[best];
-          if (unit.sink_on_merge) shards[unit.parent].sink(head.reply);
-          if (options.collect_replies)
-            result.replies.push_back({head.virtual_us,
-                                      static_cast<std::uint32_t>(unit.parent),
-                                      unit.subshard, head.reply});
-          ++merged;
-          bufs[best].buf.pop_front();
-        }
-      };
-
-      double tail_seconds = 0.0;
-      while (active_workers.load(std::memory_order_acquire) != 0) {
-        const bool progressed = drain_rings();
-        emit_ready(false);
-        if (!progressed) std::this_thread::yield();
+        const WorkUnit& unit = units[best];
+        if (unit.sink_on_merge) shards[unit.parent].sink(head.reply);
+        if (options.collect_replies) result.replies.push_back(head);
+        ++merged;
+        bufs[best].buf.pop_front();
       }
-      {
-        // Workers are gone: everything is in the rings or already
-        // buffered. This tail is the only non-overlapped merge work.
-        const auto tail_t0 = PerfClock::now();
-        drain_rings();
-        emit_ready(true);
-        tail_seconds = secs_since(tail_t0);
+    };
+
+    while (sched.running()) {
+      const bool progressed = drain_rings();
+      emit_ready(false);
+      if (!progressed) {
+        const auto idle_t0 = PerfClock::now();
+        std::this_thread::yield();
+        result.merge_perf.idle_seconds += secs_since(idle_t0);
       }
-      result.merge_perf.drain_seconds = secs_since(merge_t0);
-      result.merge_perf.tail_seconds = tail_seconds;
-      result.merge_perf.replies_merged = merged;
     }
+    // Workers are gone: everything is in the rings or already buffered.
+    // This tail is the only non-overlapped merge work.
+    const auto tail_t0 = PerfClock::now();
+    drain_rings();
+    emit_ready(true);
+    result.merge_perf.tail_seconds = secs_since(tail_t0);
+    result.merge_perf.drain_seconds = secs_since(merge_t0);
+    result.merge_perf.replies_merged = merged;
+  };
+  sched.run(workers, drive_unit,
+            need_merge ? std::function<void()>{merge} : nullptr);
 
-    for (auto& t : pool) t.join();
-  }
-  if (const auto error = sched.error()) std::rethrow_exception(error);
-
-  result.worker_perf.resize(arenas.size());
   for (std::size_t w = 0; w < arenas.size(); ++w) {
-    result.worker_perf[w] = arenas[w].perf;
-    if (w < rings.size() && rings[w])
-      result.worker_perf[w].ring_high_water = rings[w]->high_water();
+    result.worker_perf.push_back(arenas[w].perf);
+    if (w < rings.size()) result.worker_perf[w].ring_high_water = rings[w]->high_water();
   }
 
   // ---- Canonical-order stats fold ----------------------------------------
@@ -700,11 +400,11 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   // fold realizes "subshards fold into their parent in subshard order;
   // parents fold in shard order".
   for (std::size_t u = 0; u < units.size(); ++u) {
-    auto& out = unit_results[u];
-    result.per_shard[units[u].parent] += out.stats;
-    result.per_shard_net[units[u].parent] += out.net;
+    const UnitDriver& d = drivers[u];
+    result.per_shard[units[u].parent] += d.stats;
+    result.per_shard_net[units[u].parent] += d.net_stats;
     result.elapsed_virtual_us =
-        std::max(result.elapsed_virtual_us, out.stats.elapsed_virtual_us);
+        std::max(result.elapsed_virtual_us, d.stats.elapsed_virtual_us);
   }
   for (std::size_t i = 0; i < shards.size(); ++i) {
     result.probe_stats += result.per_shard[i];

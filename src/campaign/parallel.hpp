@@ -30,7 +30,9 @@
 // quiescent — and requeues the survivors. The barrier is cooperative (no
 // blocked threads), so a family larger than the worker pool still makes
 // progress, and a pool of one drives it round-robin. Free-running units
-// and unsplit shards are scheduled exactly as before.
+// and unsplit shards are scheduled exactly as before. The worker pool,
+// the family bookkeeping and the snapshot warmup are the drain kernel's
+// (campaign/kernel.hpp), shared with CampaignReactor.
 //
 // Scaling architecture (see docs/ARCHITECTURE.md "The parallel backend"):
 // replicas share an immutable tier — the Topology, one shared_ptr'd
@@ -130,11 +132,12 @@ struct alignas(64) WorkerPerf {
 
 /// Wall-clock telemetry for the streaming merge (the run() caller thread).
 struct MergePerf {
-  /// Wall time the caller spent draining rings and emitting the canonical
-  /// stream, from first worker spawn to final flush. Overlaps the
-  /// workers' probing almost entirely — the post-join tail is what the
-  /// old post-hoc sort used to serialize.
+  /// Wall time of the caller's merge loop, from first worker spawn to
+  /// final flush, idle yields included — so it tracks the run's wall time,
+  /// not the merger's load. Busy time is drain_seconds - idle_seconds.
   double drain_seconds = 0.0;
+  /// Of which: yielding after a pass that drained nothing from any ring.
+  double idle_seconds = 0.0;
   /// Of which: after the last worker exited (the non-overlapped tail).
   double tail_seconds = 0.0;
   std::uint64_t replies_merged = 0;

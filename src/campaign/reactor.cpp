@@ -1,12 +1,8 @@
 #include "campaign/reactor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 #include <utility>
 
-#include "netbase/annotated_mutex.hpp"
 #include "netbase/dcheck.hpp"
 
 namespace beholder6::campaign {
@@ -23,23 +19,6 @@ bool merged_less(const ReactorReply& a, const ReactorReply& b) {
   return a.seq < b.seq;
 }
 
-/// A campaign-local heap entry for parallel drains: one campaign's members
-/// ordered exactly as the global heap would order them among themselves —
-/// tenant is constant within a campaign, so (due, member) is the same
-/// relative order. That identity is what makes a worker driving the whole
-/// campaign reproduce the serial interleaving of its members.
-struct LSlot {
-  std::uint64_t due_us = 0;
-  std::uint32_t member = 0;
-  std::uint64_t gen = 0;
-  bool operator>(const LSlot& o) const {
-    if (due_us != o.due_us) return due_us > o.due_us;
-    return member > o.member;
-  }
-};
-
-using LocalQueue = std::priority_queue<LSlot, std::vector<LSlot>, std::greater<LSlot>>;
-
 }  // namespace
 
 CampaignReactor::CampaignReactor(const simnet::Topology& topo,
@@ -53,29 +32,6 @@ CampaignReactor::~CampaignReactor() = default;
 
 // ---- Admission --------------------------------------------------------------
 
-void CampaignReactor::warm_routes(const CampaignSpec& spec) {
-  if (!options_.share_route_snapshot || params_->route_cache_entries == 0)
-    return;
-  const auto targets = spec.source->route_warm_targets();
-  if (targets.empty()) return;
-  if (!warm_cache_) {
-    warm_cache_ = std::make_shared<simnet::RouteCache>();
-    snapshot_ = warm_cache_;
-  }
-  // Same key recovery as the parallel backend's warmup: one probe encode
-  // per target pins the exact RouteKey all probes to it resolve under.
-  for (const auto& target : targets) {
-    wire::encode_probe_into(probe_spec_at(spec.endpoint, target, 1, 0),
-                            encode_buf_);
-    const auto key = simnet::Network::probe_route_key(topo_, encode_buf_);
-    if (!key || !seen_.insert(key->key).second) continue;
-    const auto path = topo_.path(topo_.vantages()[key->vantage_index],
-                                 key->dst, key->flow_variant, key->next_header);
-    (void)warm_cache_->insert(key->key, path);
-    ++warmed_routes_;
-  }
-}
-
 Admission CampaignReactor::submit(const CampaignSpec& spec) {
   if (spec.source == nullptr || spec.pacing.pps <= 0.0)
     return {AdmitResult::kRejectedBadSpec, {}};
@@ -88,7 +44,12 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
 
   // Grow the shared snapshot before any member exists: every replica of
   // this (and any later) campaign starts with these routes hot.
-  warm_routes(spec);
+  // route_cache_entries == 0 turns all route caching off, snapshot included.
+  // The warmer resolves inline (one thread): a fork-join would hold every
+  // route of a large submit twice over, and the service's memory ceiling
+  // matters more than one submit's latency.
+  if (params_->route_cache_entries != 0)
+    warmer_.add(topo_, spec.endpoint, spec.source->route_warm_targets());
 
   auto owner = std::make_unique<Campaign>();
   Campaign& c = *owner;
@@ -108,6 +69,7 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   if (spec.split_factor > 1) children = spec.source->split(spec.split_factor);
   const std::size_t n_members = children.empty() ? 1 : children.size();
   c.members.resize(n_members);
+  std::vector<ProbeSource*> sources;
   for (std::size_t i = 0; i < n_members; ++i) {
     Member& m = c.members[i];
     if (children.empty()) {
@@ -116,8 +78,9 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
       m.owned = std::move(children[i]);
       m.source = m.owned.get();
     }
+    sources.push_back(m.source);
     m.net = std::make_unique<simnet::Network>(topo_, params_);
-    if (snapshot_) m.net->set_shared_routes(snapshot_);
+    m.net->set_shared_routes(warmer_.snapshot());
     m.runner = std::make_unique<CampaignRunner>(*m.net);
     Campaign* cp = &c;
     const auto mi = static_cast<std::uint32_t>(i);
@@ -131,19 +94,15 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
                     if (cp->spec.sink) cp->spec.sink(r);
                   });
   }
-  if (!children.empty()) c.barrier = c.members[0].source->epoch_barrier();
+  if (EpochBarrier* b = children.empty() ? nullptr : sources[0]->epoch_barrier())
+    c.family = EpochFamily{b, std::move(sources)};
   c.live = static_cast<std::uint32_t>(n_members);
-  c.waiting = c.live;
 
   // Seed every member's first global slot.
-  for (std::uint32_t i = 0; i < c.members.size(); ++i) {
-    Member& m = c.members[i];
-    const auto local = m.runner->next_due_us();
-    B6_DCHECK(local.has_value(), "fresh runner with no pending slot");
-    std::uint64_t due = c.start_us + *local;
-    if (c.throttled) due = std::max(due, c.bucket.ready_at_us(due));
-    push_global(c, i, due);
-  }
+  for (std::uint32_t i = 0; i < c.members.size(); ++i)
+    reschedule_member(c, i, [&](std::uint32_t mi, std::uint64_t due) {
+      push_global(c, mi, due);
+    });
 
   tenant_index_.emplace(spec.tenant, c.index);
   ++active_;
@@ -180,7 +139,7 @@ bool CampaignReactor::resume(CampaignHandle h) {
   c->state = CampaignState::kRunning;
   for (std::uint32_t i = 0; i < c->members.size(); ++i) {
     Member& m = c->members[i];
-    if (m.exhausted || m.parked) continue;
+    if (m.runner->done() || c->family.parked(i)) continue;
     push_global(*c, i, m.due_global);  // the saved due: global-time shift only
   }
   return true;
@@ -203,8 +162,7 @@ void CampaignReactor::retire(Campaign& c, CampaignState state) {
       m.in_heap = false;
       --pending_;
     }
-    ++m.gen;       // stale-out any heap copy, global or campaign-local
-    m.parked = false;  // a retired family owes its barrier nothing
+    ++m.gen;  // stale-out any heap copy, global or campaign-local
   }
 }
 
@@ -247,27 +205,6 @@ void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi,
 }
 
 template <typename PushFn>
-void CampaignReactor::family_arrival(Campaign& c, PushFn&& push) {
-  B6_DCHECK(c.waiting > 0, "epoch-family member arrived twice in one epoch "
-                           "— the EpochBarrier schedule is broken");
-  --c.waiting;
-  if (c.waiting != 0) return;
-  // Last arrival: every member is parked or exhausted, i.e. quiescent —
-  // the single-threaded merge window of the EpochBarrier protocol. The
-  // merge runs even when the last arrival is the last exhaustion, which is
-  // what publishes a Doubletree family's final stop set.
-  c.barrier->merge_epoch();
-  c.waiting = c.live;
-  for (std::uint32_t i = 0; i < c.members.size(); ++i) {
-    Member& m = c.members[i];
-    if (!m.parked) continue;
-    m.parked = false;
-    m.source->epoch_resume();
-    reschedule_member(c, i, push);
-  }
-}
-
-template <typename PushFn>
 void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
                                std::uint64_t slot_due,
                                std::vector<ReactorReply>* out, PushFn&& push) {
@@ -291,21 +228,21 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
     return;
   }
 
-  if (m.runner->done()) {
-    m.exhausted = true;
+  const bool exhausted = m.runner->done();
+  if (exhausted) {
     B6_DCHECK(c.live > 0, "member exhausted twice");
     --c.live;
-    if (c.barrier != nullptr) family_arrival(c, push);
     if (c.live == 0 && c.state == CampaignState::kRunning)
       c.state = CampaignState::kFinished;
-    return;
   }
-  if (c.barrier != nullptr && m.source->epoch_paused()) {
-    m.parked = true;
-    family_arrival(c, push);
-    return;
+  if (c.family.barrier() != nullptr && (exhausted || m.source->epoch_paused())) {
+    // Barrier arrival (an exhaustion counts); the last one resumes the
+    // parked survivors at their own runner-local dues.
+    for (const std::uint32_t i : c.family.arrive(mi, exhausted))
+      reschedule_member(c, i, push);
+  } else if (!exhausted) {
+    reschedule_member(c, mi, push);
   }
-  reschedule_member(c, mi, push);
 }
 
 bool CampaignReactor::step() {
@@ -329,21 +266,25 @@ bool CampaignReactor::step() {
 
 // ---- Drains -----------------------------------------------------------------
 
-std::size_t CampaignReactor::drain_serial() {
-  std::size_t n = 0;
-  while (step()) ++n;
-  return n;
-}
-
-std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
-  // Claimable work: whole running campaigns. Campaigns are
-  // scheduling-independent (every scheduling input is tenant-local), so a
-  // worker driving one campaign with a campaign-local heap reproduces
-  // exactly the member interleaving the global heap would have given it —
-  // (due, member) and (due, tenant, member) agree within one tenant.
+std::size_t CampaignReactor::drain() {
+  const std::size_t workers = pool_size(options_.n_threads);
+  if (workers <= 1) {
+    std::size_t n = 0;
+    while (step()) ++n;
+    return n;
+  }
+  // Claimable work: whole running campaigns, in admission order.
+  // Campaigns are scheduling-independent (every scheduling input is
+  // tenant-local), so a worker driving one campaign off a campaign-local
+  // heap reproduces exactly the member interleaving the global heap would
+  // have given it — (due, tenant, member) decides on (due, member) within
+  // one tenant.
   struct Unit {
     std::uint32_t campaign = 0;
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> seeds;  // (member, due)
+    std::vector<std::uint32_t> seeds;  // detached members, dues in due_global
+    std::uint64_t max_due = 0;
+    std::size_t slots = 0;
+    std::vector<ReactorReply> records;
   };
   std::vector<Unit> units;
   for (const auto& owner : campaigns_) {
@@ -354,82 +295,49 @@ std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
     for (std::uint32_t i = 0; i < c.members.size(); ++i) {
       Member& m = c.members[i];
       if (!m.in_heap) continue;
-      u.seeds.emplace_back(i, m.due_global);
       // Detach from the global heap: the campaign now lives on a worker.
       m.in_heap = false;
       ++m.gen;
       --pending_;
+      u.seeds.push_back(i);
     }
     if (!u.seeds.empty()) units.push_back(std::move(u));
   }
   if (units.empty()) return 0;
 
-  std::vector<std::vector<ReactorReply>> bufs(units.size());
-  std::vector<std::uint64_t> max_due(units.size(), 0);
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> slots{0};
-  std::exception_ptr first_error;
-  netbase::Mutex error_mu;
-
-  auto drive = [&](std::size_t ui) {
-    Campaign& c = *campaigns_[units[ui].campaign];
-    std::vector<ReactorReply>* out =
-        options_.collect_merged ? &bufs[ui] : nullptr;
-    LocalQueue lq;
+  Scheduler pool{units.size()};
+  pool.run(std::min(workers, units.size()), [&](std::size_t, std::size_t ui) {
+    Unit& u = units[ui];
+    Campaign& c = *campaigns_[u.campaign];
+    SlotHeap heap;
     auto push = [&](std::uint32_t mi, std::uint64_t due) {
-      lq.push(LSlot{due, mi, c.members[mi].gen});
+      heap.push(GSlot{due, c.spec.tenant, mi, c.index, c.members[mi].gen});
     };
-    for (const auto& [mi, due] : units[ui].seeds) push(mi, due);
-    std::size_t n = 0;
-    while (!lq.empty()) {
-      const LSlot s = lq.top();
-      lq.pop();
-      Member& m = c.members[s.member];
-      if (s.gen != m.gen) continue;  // retired mid-drive (budget cap)
-      if (s.due_us > max_due[ui]) max_due[ui] = s.due_us;
-      run_slot(c, s.member, s.due_us, out, push);
-      ++n;
+    for (const std::uint32_t mi : u.seeds) push(mi, c.members[mi].due_global);
+    while (!heap.empty()) {
+      const GSlot s = heap.top();
+      heap.pop();
+      if (s.gen != c.members[s.member].gen) continue;  // retired mid-drive
+      u.max_due = std::max(u.max_due, s.due_us);
+      run_slot(c, s.member, s.due_us,
+               options_.collect_merged ? &u.records : nullptr, push);
+      ++u.slots;
     }
-    slots.fetch_add(n, std::memory_order_relaxed);
-  };
-
-  const std::size_t workers = std::min<std::size_t>(units.size(), n_threads);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t ui = next.fetch_add(1, std::memory_order_relaxed);
-        if (ui >= units.size()) return;
-        try {
-          drive(ui);
-        } catch (...) {
-          netbase::MutexLock lock{error_mu};
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+    return true;
+  });
 
   // Post-join, back on the control plane: merge records (any append order —
   // merged() sorts canonically), advance the clock to the latest slot run,
   // and settle retirements in campaign index order.
-  for (std::size_t ui = 0; ui < units.size(); ++ui) {
-    if (!bufs[ui].empty()) {
-      merged_.insert(merged_.end(), bufs[ui].begin(), bufs[ui].end());
-      merged_dirty_ = true;
-    }
-    if (max_due[ui] > now_us_) now_us_ = max_due[ui];
-    settle(*campaigns_[units[ui].campaign]);
+  std::size_t slots = 0;
+  merged_dirty_ = true;  // as after any step()
+  for (Unit& u : units) {
+    merged_.insert(merged_.end(), u.records.begin(), u.records.end());
+    now_us_ = std::max(now_us_, u.max_due);
+    settle(*campaigns_[u.campaign]);
+    slots += u.slots;
   }
-  return slots.load(std::memory_order_relaxed);
-}
-
-std::size_t CampaignReactor::drain() {
-  if (options_.n_threads <= 1) return drain_serial();
-  return drain_parallel(options_.n_threads);
+  return slots;
 }
 
 // ---- Observation ------------------------------------------------------------

@@ -46,22 +46,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "campaign/kernel.hpp"
 #include "campaign/probe_source.hpp"
 #include "campaign/runner.hpp"
-#include "netbase/flat_map.hpp"
 #include "simnet/network.hpp"
-#include "simnet/route_cache.hpp"
 #include "simnet/token_bucket.hpp"
 
 namespace beholder6::campaign {
-
-/// FlatSet hasher for route keys (snapshot-warmup dedup; the same mix the
-/// parallel backend uses).
-struct ReactorRouteKeyHash {
-  std::size_t operator()(const simnet::RouteKey& k) const {
-    return static_cast<std::size_t>(splitmix64(k.cell ^ splitmix64(k.meta)));
-  }
-};
 
 /// One tenant's campaign submission: identity, work, pacing, service-level
 /// throttle and probe budget. The source must be pristine (constructed,
@@ -157,17 +148,15 @@ struct ReactorOptions {
   std::size_t max_campaigns = std::numeric_limits<std::size_t>::max();
   /// Admission control: sum of in-flight probe_budget reservations.
   std::uint64_t max_reserved_probes = std::numeric_limits<std::uint64_t>::max();
-  /// drain() worker threads. Wall-clock only: any value yields the same
-  /// merged stream, stats, and states (the bit-identical contract).
+  /// drain() worker threads, 0 = the hardware concurrency (the rule
+  /// ParallelCampaignRunner follows too); one worker drains through the
+  /// serial step() loop. Wall-clock only: any value yields the same merged
+  /// stream, stats, and states (the bit-identical contract).
   unsigned n_threads = 1;
   /// Keep the canonical merged stream in memory (merged()). Per-tenant
   /// sinks fire either way; large services stream per tenant and turn
   /// this off.
   bool collect_merged = true;
-  /// Warm submitted sources' route_warm_targets into one read-only route
-  /// snapshot shared by every tenant replica (the PR 8 immutable tier).
-  /// Purely a performance seam; never changes results.
-  bool share_route_snapshot = true;
 };
 
 /// The multi-tenant campaign service core. Control plane (submit, pause,
@@ -253,7 +242,7 @@ class CampaignReactor {
   [[nodiscard]] std::size_t active_campaigns() const { return active_; }
   [[nodiscard]] std::uint64_t reserved_probes() const { return reserved_; }
   /// Routes resolved into the shared snapshot so far.
-  [[nodiscard]] std::uint64_t warmed_routes() const { return warmed_routes_; }
+  [[nodiscard]] std::uint64_t warmed_routes() const { return warmer_.routes(); }
 
   /// Lifecycle of a campaign, or nullopt for a stale/unknown handle.
   [[nodiscard]] std::optional<CampaignState> state(CampaignHandle h) const;
@@ -280,8 +269,6 @@ class CampaignReactor {
     std::uint64_t probes_seen = 0; // runner probes already accounted
     std::uint64_t gen = 0;         // slot generation; mismatches are stale
     bool in_heap = false;          // a live slot sits in the *global* heap
-    bool parked = false;           // at the family's epoch barrier
-    bool exhausted = false;
   };
 
   struct Campaign {
@@ -293,9 +280,8 @@ class CampaignReactor {
     simnet::TokenBucket bucket;
     bool throttled = false;
     bool settled = false;  // terminal bookkeeping (ledger release) done
-    EpochBarrier* barrier = nullptr;
+    EpochFamily family;         // barrier() == nullptr unless epoch-coupled
     std::uint32_t live = 0;     // members not yet exhausted
-    std::uint32_t waiting = 0;  // live members not yet at the barrier
     std::uint64_t probes_sent = 0;
     std::vector<Member> members;
   };
@@ -314,21 +300,19 @@ class CampaignReactor {
       return member > o.member;
     }
   };
+  /// The global heap, and a parallel drain's per-campaign heap: the tenant
+  /// is constant within a campaign, so there (due, member) decides.
+  using SlotHeap = std::priority_queue<GSlot, std::vector<GSlot>, std::greater<GSlot>>;
 
   template <typename PushFn>
   void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due,
                 std::vector<ReactorReply>* out, PushFn&& push);
   template <typename PushFn>
-  void family_arrival(Campaign& c, PushFn&& push);
-  template <typename PushFn>
   void reschedule_member(Campaign& c, std::uint32_t mi, PushFn&& push);
   void retire(Campaign& c, CampaignState state);
   void settle(Campaign& c);
   void push_global(Campaign& c, std::uint32_t mi, std::uint64_t due);
-  void warm_routes(const CampaignSpec& spec);
   Campaign* find(CampaignHandle h) const;
-  std::size_t drain_serial();
-  std::size_t drain_parallel(unsigned n_threads);
   void sort_merged();
 
   const simnet::Topology& topo_;
@@ -337,7 +321,7 @@ class CampaignReactor {
 
   std::vector<std::unique_ptr<Campaign>> campaigns_;
   std::unordered_map<std::uint64_t, std::uint32_t> tenant_index_;  // active only
-  std::priority_queue<GSlot, std::vector<GSlot>, std::greater<GSlot>> queue_;
+  SlotHeap queue_;
   std::size_t pending_ = 0;  // live (non-stale) slots in the heap
   std::uint64_t now_us_ = 0;
   std::size_t active_ = 0;
@@ -348,14 +332,8 @@ class CampaignReactor {
 
   // The shared immutable tier: one read-only route snapshot, grown on the
   // control plane at submit (never concurrently with probe traffic) and
-  // read lock-free by every replica. Entries are exactly Topology::path
-  // results, so growth never changes any tenant's replies — only hit
-  // rates. seen_ dedups keys across submits.
-  std::shared_ptr<simnet::RouteCache> warm_cache_;
-  std::shared_ptr<const simnet::RouteCache> snapshot_;
-  netbase::FlatSet<simnet::RouteKey, ReactorRouteKeyHash> seen_;
-  std::vector<std::uint8_t> encode_buf_;
-  std::uint64_t warmed_routes_ = 0;
+  // read lock-free by every replica.
+  RouteWarmer warmer_;
 };
 
 }  // namespace beholder6::campaign

@@ -135,6 +135,19 @@ TEST_F(ParallelCampaignTest, MergedReplyStreamIsTotallyOrdered) {
   }
 }
 
+TEST_F(ParallelCampaignTest, MergeIdleTimeIsPartOfDrainTime) {
+  // MergePerf splits the merge loop's wall time: idle_seconds is the time
+  // spent yielding after passes that drained nothing, so busy time is
+  // drain_seconds - idle_seconds. Cost reporting only.
+  const auto t = targets(40);
+  auto set = make_shards(t, 4);
+  const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, 2};
+  const auto result = runner.run(set.shards, {.collect_replies = true});
+  ASSERT_GT(result.merge_perf.replies_merged, 0u);
+  EXPECT_GE(result.merge_perf.idle_seconds, 0.0);
+  EXPECT_LE(result.merge_perf.idle_seconds, result.merge_perf.drain_seconds);
+}
+
 TEST_F(ParallelCampaignTest, ParallelEqualsSerialReplicaRuns) {
   const auto t = targets(45);
   auto parallel_set = make_shards(t, 4);
