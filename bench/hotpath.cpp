@@ -19,10 +19,10 @@
 //             replica builds, worker busy spread, ring/merge stats);
 //   merge   — the streaming SPSC merge measured end-to-end: the full
 //             workload with the global reply stream collected, at 1 and 8
-//             threads, with an order-sensitive checksum over the merged
-//             stream. The two checksums must match bit-for-bit (the
-//             canonical-order contract), and the bench exits nonzero if
-//             they don't.
+//             threads, with order-sensitive checksums over the merged
+//             stream and over each shard's sink calls. Both pairs must
+//             match bit-for-bit (the canonical-order contract), and the
+//             bench exits nonzero if they don't.
 //
 // Scaling gate: the flat "scaling" JSON section records the 8-thread
 // throughput and efficiency for tools/check_bench_regression.py, and the
@@ -138,12 +138,35 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Order-sensitive FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+  void mix(const wire::DecodedReply& r) {
+    mix(r.responder.hi());
+    mix(r.responder.lo());
+    mix((static_cast<std::uint64_t>(r.type) << 8) | r.code);
+    mix(r.rtt_us);
+    mix(r.probe.target.hi());
+    mix(r.probe.target.lo());
+    mix(r.probe.ttl);
+  }
+};
+
 /// One Table 7 campaign shard: a yarrp6 walk of one synthesized set from
-/// one vantage, feeding a private collector — bench_table7's configuration.
+/// one vantage, feeding a private collector — bench_table7's configuration
+/// — and a fingerprint of the order its sink saw the replies in.
 struct Job {
   prober::Yarrp6Config cfg;
   std::unique_ptr<prober::Yarrp6Source> source;
   topology::TraceCollector collector;
+  Fnv sink_order;
 };
 
 std::vector<Job> make_jobs(const bench::World& world,
@@ -175,6 +198,9 @@ struct Measured {
   // runs match iff their merged streams are bit-identical in order.
   std::uint64_t replies = 0;
   std::uint64_t reply_checksum = 0;
+  // Every shard's sink-call fingerprint, folded in shard order: two runs
+  // match iff each shard's sink saw the same replies in the same order.
+  std::uint64_t sink_checksum = 0;
 
   [[nodiscard]] double pps() const {
     return seconds > 0 ? static_cast<double>(probes) / seconds : 0.0;
@@ -197,25 +223,13 @@ struct Measured {
 };
 
 std::uint64_t checksum_replies(const std::vector<campaign::ShardReply>& rs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv f;
   for (const auto& r : rs) {
-    mix(r.virtual_us);
-    mix((std::uint64_t{r.shard} << 32) | r.subshard);
-    mix(r.reply.responder.hi());
-    mix(r.reply.responder.lo());
-    mix((static_cast<std::uint64_t>(r.reply.type) << 8) | r.reply.code);
-    mix(r.reply.rtt_us);
-    mix(r.reply.probe.target.hi());
-    mix(r.reply.probe.target.lo());
-    mix(r.reply.probe.ttl);
+    f.mix(r.virtual_us);
+    f.mix((std::uint64_t{r.shard} << 32) | r.subshard);
+    f.mix(r.reply);
   }
-  return h;
+  return f.h;
 }
 
 void fill_telemetry(Measured& m, const campaign::ParallelResult& result) {
@@ -239,13 +253,19 @@ Measured run_pipeline(const bench::World& world,
   shards.reserve(jobs.size());
   for (auto& j : jobs)
     shards.push_back({j.source.get(), j.cfg.endpoint(), j.cfg.pacing(),
-                      [&j](const wire::DecodedReply& r) { j.collector.on_reply(r); }});
+                      [&j](const wire::DecodedReply& r) {
+                        j.collector.on_reply(r);
+                        j.sink_order.mix(r);
+                      }});
   const campaign::ParallelCampaignRunner runner{world.topo, params, threads};
   Measured m;
   const auto t0 = Clock::now();
   const auto result = runner.run(shards, {.collect_replies = collect_replies});
   m.seconds = secs_since(t0);
   fill_telemetry(m, result);
+  Fnv sinks;
+  for (const auto& j : jobs) sinks.mix(j.sink_order.h);
+  m.sink_checksum = sinks.h;
   return m;
 }
 
@@ -341,9 +361,10 @@ int main(int argc, char** argv) {
   }
 
   // Streamed-merge gate: the full workload with the global reply stream
-  // collected, at 1 and 8 threads. The merged streams must be
-  // bit-identical in canonical order — the SPSC rings and the frontier
-  // gating may change only the wall-clock.
+  // collected, at 1 and 8 threads. The merged streams, and the order each
+  // shard's sink saw its replies in, must be bit-identical — the SPSC
+  // rings, the frontier gating and the tail fan-out may change only the
+  // wall-clock.
   const auto merged_1t =
       run_pipeline(world, sets, simnet::NetworkParams{}, 1, /*collect=*/true);
   const auto merged_8t =
@@ -351,14 +372,20 @@ int main(int argc, char** argv) {
   const bool merge_deterministic =
       merged_1t.replies == merged_8t.replies &&
       merged_1t.reply_checksum == merged_8t.reply_checksum &&
+      merged_1t.sink_checksum == merged_8t.sink_checksum &&
       merged_1t.net_stats == merged_8t.net_stats;
   std::fprintf(stderr,
                "streamed merge: %llu replies, checksum %016llx @1t / %016llx "
-               "@8t, drain %.3fs (tail %.3fs) @8t %s\n",
+               "@8t, sink order %016llx @1t / %016llx @8t, drain %.3fs (idle "
+               "%.3fs, tail %.3fs, %llu tail replies) @8t %s\n",
                static_cast<unsigned long long>(merged_8t.replies),
                static_cast<unsigned long long>(merged_1t.reply_checksum),
                static_cast<unsigned long long>(merged_8t.reply_checksum),
-               merged_8t.merge.drain_seconds, merged_8t.merge.tail_seconds,
+               static_cast<unsigned long long>(merged_1t.sink_checksum),
+               static_cast<unsigned long long>(merged_8t.sink_checksum),
+               merged_8t.merge.drain_seconds, merged_8t.merge.idle_seconds,
+               merged_8t.merge.tail_seconds,
+               static_cast<unsigned long long>(merged_8t.merge.tail_replies),
                merge_deterministic ? "" : "DETERMINISM MISMATCH");
 
   // Sub-shard scheduler guard: one giant shard (every target in one yarrp6
@@ -564,20 +591,28 @@ int main(int argc, char** argv) {
                "  \"streamed_merge\": {\"desc\": \"full workload with the "
                "global reply stream collected: per-worker SPSC rings drained "
                "by the caller into the canonical order during the run; the "
-               "1t and 8t streams must be bit-identical\", "
+               "1t and 8t streams, and each shard's sink-call order, must be "
+               "bit-identical\", "
                "\"replies\": %llu, \"checksum_1t\": \"%016llx\", "
-               "\"checksum_8t\": \"%016llx\", \"thread_invariant\": %s, "
+               "\"checksum_8t\": \"%016llx\", "
+               "\"sink_checksum_1t\": \"%016llx\", "
+               "\"sink_checksum_8t\": \"%016llx\", \"thread_invariant\": %s, "
                "\"seconds_1t\": %.3f, \"seconds_8t\": %.3f, "
                "\"merge_drain_seconds_8t\": %.3f, "
+               "\"merge_idle_seconds_8t\": %.3f, "
                "\"merge_tail_seconds_8t\": %.3f, "
+               "\"merge_tail_replies_8t\": %llu, "
                "\"ring_stalls_8t\": %llu, \"ring_high_water_max_8t\": %llu, "
                "\"workers_8t\": [",
                static_cast<unsigned long long>(merged_8t.replies),
                static_cast<unsigned long long>(merged_1t.reply_checksum),
                static_cast<unsigned long long>(merged_8t.reply_checksum),
+               static_cast<unsigned long long>(merged_1t.sink_checksum),
+               static_cast<unsigned long long>(merged_8t.sink_checksum),
                merge_deterministic ? "true" : "false", merged_1t.seconds,
                merged_8t.seconds, merged_8t.merge.drain_seconds,
-               merged_8t.merge.tail_seconds,
+               merged_8t.merge.idle_seconds, merged_8t.merge.tail_seconds,
+               static_cast<unsigned long long>(merged_8t.merge.tail_replies),
                static_cast<unsigned long long>(merged_8t.ring_stalls()),
                static_cast<unsigned long long>(merged_8t.ring_high_water()));
   for (std::size_t w = 0; w < merged_8t.workers.size(); ++w)
@@ -684,8 +719,9 @@ int main(int argc, char** argv) {
   }
   if (!merge_deterministic) {
     std::fprintf(stderr,
-                 "FAIL: streamed merge produced different reply streams at 1 "
-                 "and 8 threads (the canonical-order contract is broken)\n");
+                 "FAIL: streamed merge produced different reply streams or "
+                 "sink-call orders at 1 and 8 threads (the canonical-order "
+                 "contract is broken)\n");
     return 1;
   }
   if (!churn_deterministic) {

@@ -86,6 +86,7 @@ void Scheduler::report(std::size_t u, bool done) {
 void Scheduler::fail(std::exception_ptr e) {
   netbase::MutexLock lock{mu_};
   if (!error_) error_ = std::move(e);
+  failed_.store(true, std::memory_order_release);
   cv_.notify_all();
 }
 
@@ -116,7 +117,13 @@ void Scheduler::run(std::size_t workers, const Body& body,
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker, w);
-    if (on_caller) on_caller();
+    if (on_caller) {
+      try {
+        on_caller();
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
     for (auto& t : pool) t.join();
   }
   if (const auto e = error()) std::rethrow_exception(e);

@@ -108,14 +108,20 @@ class Scheduler {
   /// each claim on worker slot 0..workers-1. `on_caller`, when set, runs on
   /// the calling thread meanwhile (the streaming merge) and may poll
   /// running(); without it a single worker runs inline on the caller. The
-  /// first exception a body throws stops further claims and is rethrown
-  /// here once every worker has joined.
+  /// first exception a body or `on_caller` throws stops further claims and
+  /// is rethrown here once every worker has joined.
   void run(std::size_t workers, const Body& body,
            const std::function<void()>& on_caller = {});
 
   /// True until every worker of run() has exited its claim loop.
   [[nodiscard]] bool running() const {
     return running_.load(std::memory_order_acquire) != 0;
+  }
+
+  /// True once a body or `on_caller` has thrown: a worker waiting on the
+  /// caller (a full reply ring) must give up rather than wait forever.
+  [[nodiscard]] bool failed() const {
+    return failed_.load(std::memory_order_acquire);
   }
 
  private:
@@ -126,6 +132,7 @@ class Scheduler {
 
   std::vector<std::int32_t> family_of_;  // per unit, -1 = free; immutable
   std::atomic<std::size_t> running_{0};
+  std::atomic<bool> failed_{false};
 
   netbase::Mutex mu_;
   netbase::CondVar cv_;

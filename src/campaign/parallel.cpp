@@ -1,13 +1,17 @@
 #include "campaign/parallel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "campaign/kernel.hpp"
 #include "netbase/dcheck.hpp"
@@ -72,6 +76,17 @@ constexpr std::size_t kRingCapacity = 1024;
 /// smaller = smoother streaming, larger = less ring traffic.
 constexpr std::uint64_t kWatermarkEvery = 1024;
 
+/// How many replies the merger emits between two ring drains while workers
+/// still run. Any value is correct. It bounds how long the rings go
+/// undrained, and it sends the merger back to the running() check often
+/// enough that a backlog left when the workers finish goes to the parallel
+/// tail instead of being emitted serially.
+constexpr std::size_t kEmitBatch = 4096;
+
+/// Thrown by a producer whose ring will never drain again because the run
+/// has failed. It never escapes run(): the Scheduler keeps the first error.
+struct RunAbandoned final : std::exception {};
+
 /// Per-worker mutable arena: the worker's private Network replica
 /// (constructed once, on first claim, and reset() between the free units
 /// it steals — so one worker pays one replica build however many units it
@@ -93,6 +108,7 @@ struct UnitDriver {
   std::unique_ptr<simnet::Network> owned_net;  // epoch units only
   simnet::Network* net = nullptr;
   std::unique_ptr<CampaignRunner> runner;
+  const Scheduler* sched = nullptr;
   netbase::SpscRing<RingItem>* ring = nullptr;
   WorkerPerf* perf = nullptr;
   std::uint32_t unit = 0;
@@ -101,10 +117,12 @@ struct UnitDriver {
   ProbeStats stats;         // final, once the unit exhausts
   simnet::NetworkStats net_stats;
 
-  /// Push one item, yielding while the ring is full (backpressure).
+  /// Push one item, yielding while the ring is full (backpressure) unless
+  /// the run has failed and the merger is gone.
   void push(RingItem::Kind kind, const wire::DecodedReply& reply = {}) {
     const RingItem item{kind, unit, seq++, net->now_us(), reply};
     while (!ring->try_push(item)) {
+      if (sched->failed()) throw RunAbandoned{};
       ++perf->ring_stalls;
       std::this_thread::yield();
     }
@@ -145,6 +163,251 @@ struct UnitBuf {
   std::uint64_t next_seq = 0;              // first seq not yet serialized
   std::uint64_t lb = 0;  // no future reply is earlier than this
   bool done = false;     // retired from frontier gating
+};
+
+/// The key of a leaf with nothing to offer the merge: a unit that is done
+/// and drained, or one that does not record. No virtual time reaches it.
+constexpr std::uint64_t kNoKey = std::numeric_limits<std::uint64_t>::max();
+
+/// A winner tree over keyed leaves. top() is the leaf with the least
+/// (key, leaf index) pair, so equal keys go to the lower index; set()
+/// replays only that leaf's path to the root, O(log n) per update.
+class TournamentTree {
+ public:
+  explicit TournamentTree(std::vector<std::uint64_t> keys)
+      : width_(std::bit_ceil(std::max<std::size_t>(1, keys.size()))),
+        key_(std::move(keys)),
+        win_(2 * width_) {
+    key_.resize(width_, kNoKey);
+    for (std::size_t i = 0; i < width_; ++i)
+      win_[width_ + i] = static_cast<std::uint32_t>(i);
+    for (std::size_t p = width_ - 1; p > 0; --p)
+      win_[p] = better(win_[2 * p], win_[2 * p + 1]);
+  }
+
+  [[nodiscard]] std::size_t top() const { return win_[1]; }
+  [[nodiscard]] std::uint64_t top_key() const { return key_[win_[1]]; }
+
+  void set(std::size_t leaf, std::uint64_t key) {
+    if (key_[leaf] == key) return;
+    key_[leaf] = key;
+    for (std::size_t p = (width_ + leaf) / 2; p > 0; p /= 2)
+      win_[p] = better(win_[2 * p], win_[2 * p + 1]);
+  }
+
+ private:
+  // `a` is always the left child, whose leaves have the lower indexes.
+  [[nodiscard]] std::uint32_t better(std::uint32_t a, std::uint32_t b) const {
+    return key_[b] < key_[a] ? b : a;
+  }
+
+  std::size_t width_;
+  std::vector<std::uint64_t> key_;  // per leaf, padded with kNoKey
+  std::vector<std::uint32_t> win_;  // [1] root ... [width_ + i] leaf i
+};
+
+/// The streaming merge (see run()). The caller thread owns it: it drains
+/// the workers' rings and emits the canonical order while they probe, and
+/// fans the remainder out once they have joined.
+///
+/// Units are expanded parent-major, so the unit index order IS the (shard,
+/// subshard) order and a reply's merge key is (virtual_us, unit). Each
+/// unit is one leaf of a tournament tree keyed by its frontier: its head's
+/// virtual time when it has replies buffered, its `lb` (a gate) when it
+/// has none and is not done, no key when it is done and drained. The root
+/// is then the least of every head and gate key, and a head may be
+/// emitted exactly when it is the root: any future item of a gating unit
+/// is at or past its (lb, unit) key, and keys never collide across units,
+/// so nothing earlier can still arrive.
+class StreamMerge {
+ public:
+  StreamMerge(const std::vector<Shard>& shards,
+              const std::vector<WorkUnit>& units, bool collect,
+              ParallelResult& result)
+      : shards_(shards),
+        units_(units),
+        collect_(collect),
+        result_(result),
+        bufs_(units.size()),
+        tree_(initial_keys(units)) {
+#if BEHOLDER6_DCHECK_LEVEL >= 2
+    sink_last_.resize(shards.size());
+#endif
+  }
+  // Its address is captured by the merge loop and the tail's threads.
+  StreamMerge(const StreamMerge&) = delete;
+  StreamMerge& operator=(const StreamMerge&) = delete;
+
+  /// Pop every ring dry, re-serializing each unit's items. Returns whether
+  /// any item arrived.
+  bool drain(
+      const std::vector<std::unique_ptr<netbase::SpscRing<RingItem>>>& rings) {
+    bool any = false;
+    RingItem item;
+    for (const auto& r : rings)
+      while (r->try_pop(item)) {
+        any = true;
+        serialize(item);
+      }
+    return any;
+  }
+
+  /// Emit while the root is a buffered head, at most `budget` replies.
+  /// Returns whether the budget ran out first.
+  bool emit(std::size_t budget) {
+    for (; budget != 0; --budget) {
+      const std::size_t u = tree_.top();
+      UnitBuf& b = bufs_[u];
+      if (b.buf.empty()) return false;  // the root is a gate, or no key
+      if (units_[u].sink_on_merge) deliver(b.buf.front());
+      if (collect_) result_.replies.push_back(b.buf.front());
+      b.buf.pop_front();
+      ++merged_;
+      rekey(u);
+    }
+    return true;
+  }
+
+  /// After the workers have joined (and a last drain()): no gate binds and
+  /// every buffer is final, so the buffered remainder goes out in one
+  /// parallel pass over up to `threads` threads. Each split shard with a
+  /// sink is one claim, merging its own subshards' buffers in (virtual_us,
+  /// subshard) order — the global order restricted to that shard — while
+  /// the caller appends the global stream from the tree. Both sides only
+  /// read the buffers, each through its own cursors.
+  void tail(std::size_t threads) {
+    std::uint64_t left = 0;
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      const UnitBuf& b = bufs_[u];
+      B6_DCHECK(b.held.empty() && (b.done || !units_[u].record),
+                "a recorded unit ended without its done marker or with a "
+                "gap in its ring items");
+      left += b.buf.size();
+    }
+    result_.merge_perf.tail_replies = left;
+    merged_ += left;
+    // The total is known now: one exact reserve instead of a doubling.
+    if (collect_) result_.replies.reserve(result_.replies.size() + left);
+
+    // Unit ranges [first, end) of the split shards whose sink the merge
+    // delivers; units are parent-major, so each range is contiguous.
+    std::vector<std::pair<std::size_t, std::size_t>> sinks;
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      if (!units_[u].sink_on_merge) continue;
+      if (sinks.empty() ||
+          units_[sinks.back().first].parent != units_[u].parent)
+        sinks.emplace_back(u, u);
+      sinks.back().second = u + 1;
+    }
+    auto deliver_shard = [&](std::size_t, std::size_t s) {
+      const auto [first, end] = sinks[s];
+      std::vector<std::uint64_t> keys;
+      for (std::size_t u = first; u < end; ++u) keys.push_back(key_at(u, 0));
+      TournamentTree tree{std::move(keys)};
+      std::vector<std::size_t> at(end - first, 0);
+      while (tree.top_key() != kNoKey) {
+        const std::size_t j = tree.top();
+        deliver(bufs_[first + j].buf[at[j]]);
+        tree.set(j, key_at(first + j, ++at[j]));
+      }
+      return true;
+    };
+    auto append = [&] {
+      std::vector<std::size_t> at(units_.size(), 0);
+      while (tree_.top_key() != kNoKey) {
+        const std::size_t u = tree_.top();
+        result_.replies.push_back(bufs_[u].buf[at[u]]);
+        tree_.set(u, key_at(u, ++at[u]));
+      }
+    };
+    if (sinks.empty()) {
+      if (collect_) append();
+      return;
+    }
+    Scheduler pool{sinks.size()};
+    pool.run(std::min(sinks.size(), threads), deliver_shard,
+             collect_ ? std::function<void()>{append} : nullptr);
+  }
+
+  [[nodiscard]] std::uint64_t merged() const { return merged_; }
+
+ private:
+  static std::vector<std::uint64_t> initial_keys(
+      const std::vector<WorkUnit>& units) {
+    std::vector<std::uint64_t> keys;
+    for (const WorkUnit& unit : units) keys.push_back(unit.record ? 0 : kNoKey);
+    return keys;
+  }
+
+  /// Unit `u`'s key with its cursor at buffer index `i`, once it is done.
+  [[nodiscard]] std::uint64_t key_at(std::size_t u, std::size_t i) const {
+    const auto& buf = bufs_[u].buf;
+    return i < buf.size() ? buf[i].virtual_us : kNoKey;
+  }
+
+  void rekey(std::size_t u) {
+    const UnitBuf& b = bufs_[u];
+    tree_.set(u, !b.buf.empty() ? b.buf.front().virtual_us
+                 : b.done       ? kNoKey
+                                : b.lb);
+  }
+
+  void serialize(const RingItem& item) {
+    // Re-serialize per unit by seq: an epoch unit's items can surface
+    // from two rings out of order around a barrier migration.
+    UnitBuf& b = bufs_[item.unit];
+    auto apply = [&](const RingItem& it) {
+      switch (it.kind) {
+        case RingItem::Kind::kReply:
+          b.buf.push_back({it.virtual_us,
+                           static_cast<std::uint32_t>(units_[it.unit].parent),
+                           units_[it.unit].subshard, it.reply});
+          b.lb = std::max(b.lb, it.virtual_us);
+          break;
+        case RingItem::Kind::kWatermark:
+          b.lb = std::max(b.lb, it.virtual_us);
+          break;
+        case RingItem::Kind::kDone:
+          b.done = true;
+          break;
+      }
+      ++b.next_seq;
+    };
+    if (item.seq != b.next_seq) {
+      b.held.emplace(item.seq, item);
+      return;
+    }
+    apply(item);
+    for (auto it = b.held.begin();
+         it != b.held.end() && it->first == b.next_seq; it = b.held.erase(it))
+      apply(it->second);
+    rekey(item.unit);
+  }
+
+  /// Hand one reply to its split shard's sink. One thread at a time per
+  /// shard: the caller while workers run, then the shard's tail claim.
+  void deliver(const ShardReply& r) {
+#if BEHOLDER6_DCHECK_LEVEL >= 2
+    const std::pair key{r.virtual_us, r.subshard};
+    B6_DCHECK2(sink_last_[r.shard] <= key,
+               "split shard's sink delivery violates the canonical "
+               "(vtime, subshard) order");
+    sink_last_[r.shard] = key;
+#endif
+    shards_[r.shard].sink(r.reply);
+  }
+
+  const std::vector<Shard>& shards_;
+  const std::vector<WorkUnit>& units_;
+  bool collect_;
+  ParallelResult& result_;
+  std::vector<UnitBuf> bufs_;
+  TournamentTree tree_;
+  std::uint64_t merged_ = 0;
+#if BEHOLDER6_DCHECK_LEVEL >= 2
+  // Per shard, the last (virtual_us, subshard) its sink was handed.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> sink_last_;
+#endif
 };
 
 }  // namespace
@@ -222,10 +485,8 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   const std::size_t workers = std::max<std::size_t>(
       1, std::min<std::size_t>(units.size(), pool_size(n_threads_)));
 
-  std::vector<std::uint32_t> rec_units;
-  for (std::uint32_t u = 0; u < units.size(); ++u)
-    if (units[u].record) rec_units.push_back(u);
-  const bool need_merge = !rec_units.empty();
+  const bool need_merge = std::any_of(
+      units.begin(), units.end(), [](const WorkUnit& u) { return u.record; });
 
   std::vector<WorkerArena> arenas(workers);
   std::vector<std::unique_ptr<netbase::SpscRing<RingItem>>> rings;
@@ -263,6 +524,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
         };
       d.runner->add(*unit.source, shard.endpoint, shard.pacing, std::move(sink));
     }
+    d.sched = &sched;
     d.ring = need_merge ? rings[w].get() : nullptr;
     d.perf = &arena.perf;
     const bool done = unit.epoch ? d.drive<true>(*unit.source, unit.record)
@@ -280,115 +542,37 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     return done;
   };
 
+  // ---- The streaming merge (caller thread) ------------------------------
+  // Drain every worker's ring continuously and emit the canonical
+  // (virtual time, shard, subshard, arrival) order incrementally, in
+  // bounded batches so the rings and the running() check are never far
+  // away. The merger never blocks producers: it keeps draining rings even
+  // while emission is gated, buffering into unbounded per-unit queues, so
+  // a full ring always empties and the pool cannot deadlock.
+  StreamMerge merger{shards, units, options.collect_replies, result};
+  const auto merge_t0 = PerfClock::now();
   auto merge = [&] {
-    // ---- The streaming merge (caller thread) ----------------------------
-    // Drain every worker's ring continuously and emit the canonical
-    // (virtual time, shard, subshard, arrival) order incrementally.
-    // Units are expanded parent-major, so the unit index order IS the
-    // (shard, subshard) lexicographic order and the frontier key is
-    // simply (virtual_us, unit).
-    //
-    // Emission rule: the earliest buffered head may be emitted iff its
-    // key is strictly below (lb[w], w) for every recording unit w that
-    // is not done and has nothing buffered — any future item of w is at
-    // or past that bound, and keys never collide across units (the unit
-    // component differs), so nothing earlier can still arrive. The
-    // merger never blocks producers: it keeps draining rings even while
-    // emission is gated, buffering into unbounded per-unit queues, so a
-    // full ring always empties and the pool cannot deadlock.
-    const auto merge_t0 = PerfClock::now();
-    std::vector<UnitBuf> bufs(units.size());
-    std::uint64_t merged = 0;
-
-    auto serialize = [&](const RingItem& item) {
-      // Re-serialize per unit by seq: an epoch unit's items can surface
-      // from two rings out of order around a barrier migration.
-      UnitBuf& b = bufs[item.unit];
-      auto apply = [&](const RingItem& it) {
-        switch (it.kind) {
-          case RingItem::Kind::kReply:
-            b.buf.push_back({it.virtual_us,
-                             static_cast<std::uint32_t>(units[it.unit].parent),
-                             units[it.unit].subshard, it.reply});
-            if (it.virtual_us > b.lb) b.lb = it.virtual_us;
-            break;
-          case RingItem::Kind::kWatermark:
-            if (it.virtual_us > b.lb) b.lb = it.virtual_us;
-            break;
-          case RingItem::Kind::kDone:
-            b.done = true;
-            break;
-        }
-        ++b.next_seq;
-      };
-      if (item.seq != b.next_seq) {
-        b.held.emplace(item.seq, item);
-        return;
-      }
-      apply(item);
-      for (auto it = b.held.begin();
-           it != b.held.end() && it->first == b.next_seq; it = b.held.erase(it))
-        apply(it->second);
-    };
-
-    auto drain_rings = [&]() -> bool {
-      bool any = false;
-      RingItem item;
-      for (auto& r : rings)
-        while (r->try_pop(item)) {
-          any = true;
-          serialize(item);
-        }
-      return any;
-    };
-
-    auto emit_ready = [&](bool final_flush) {
-      for (;;) {
-        std::size_t best = units.size();
-        for (const auto u : rec_units) {
-          if (bufs[u].buf.empty()) continue;
-          if (best == units.size() ||
-              bufs[u].buf.front().virtual_us <
-                  bufs[best].buf.front().virtual_us)
-            best = u;  // ties keep the earlier unit: rec_units ascends
-        }
-        if (best == units.size()) return;
-        const auto& head = bufs[best].buf.front();
-        const auto gates = [&](std::uint32_t w) {
-          return w != best && !bufs[w].done && bufs[w].buf.empty() &&
-                 (head.virtual_us > bufs[w].lb ||
-                  (head.virtual_us == bufs[w].lb && best > w));
-        };
-        if (!final_flush && std::any_of(rec_units.begin(), rec_units.end(), gates))
-          return;
-        const WorkUnit& unit = units[best];
-        if (unit.sink_on_merge) shards[unit.parent].sink(head.reply);
-        if (options.collect_replies) result.replies.push_back(head);
-        ++merged;
-        bufs[best].buf.pop_front();
-      }
-    };
-
     while (sched.running()) {
-      const bool progressed = drain_rings();
-      emit_ready(false);
-      if (!progressed) {
+      const bool drained = merger.drain(rings);
+      if (!merger.emit(kEmitBatch) && !drained) {
         const auto idle_t0 = PerfClock::now();
         std::this_thread::yield();
         result.merge_perf.idle_seconds += secs_since(idle_t0);
       }
     }
-    // Workers are gone: everything is in the rings or already buffered.
-    // This tail is the only non-overlapped merge work.
-    const auto tail_t0 = PerfClock::now();
-    drain_rings();
-    emit_ready(true);
-    result.merge_perf.tail_seconds = secs_since(tail_t0);
-    result.merge_perf.drain_seconds = secs_since(merge_t0);
-    result.merge_perf.replies_merged = merged;
   };
   sched.run(workers, drive_unit,
             need_merge ? std::function<void()>{merge} : nullptr);
+  if (need_merge) {
+    // The workers have joined: everything is in the rings or buffered.
+    // This tail is the only merge work the probing does not overlap.
+    const auto tail_t0 = PerfClock::now();
+    merger.drain(rings);
+    merger.tail(pool_size(n_threads_));
+    result.merge_perf.tail_seconds = secs_since(tail_t0);
+    result.merge_perf.drain_seconds = secs_since(merge_t0);
+    result.merge_perf.replies_merged = merger.merged();
+  }
 
   for (std::size_t w = 0; w < arenas.size(); ++w) {
     result.worker_perf.push_back(arenas[w].perf);

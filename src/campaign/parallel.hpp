@@ -43,7 +43,8 @@
 // units it steals. Recorded replies stream out through one bounded
 // lock-free SPSC ring per worker (netbase/spsc_ring.hpp), drained by the
 // run() caller, which emits the canonical-order merged stream *during*
-// the run instead of sorting after the workers join.
+// the run through a tournament tree over the units' frontiers, and fans
+// whatever is left when the workers join out over the pool.
 //
 // Network dynamics ride the immutable tier: NetworkParams::dynamics is a
 // shared_ptr'd DynamicsSchedule, so every worker's replica carries the
@@ -97,12 +98,15 @@ namespace beholder6::campaign {
 ///   * unsplit (split_factor 1, or an unsplittable source): invoked live on
 ///     the shard's worker thread, per reply, exactly as before;
 ///   * split: the shard's subshards run concurrently, so live delivery
-///     would race — the sink instead runs on the thread that called run(),
-///     which drains the workers' reply rings *during* the run and delivers
-///     the shard's replies in canonical (virtual time, subshard, arrival)
-///     order as the merge frontier passes them. Same replies,
-///     deterministic order, at any thread count; delivery just starts
-///     while workers are still probing instead of after they join.
+///     would race — the merge delivers the shard's replies instead, in
+///     canonical (virtual time, subshard, arrival) order. While workers
+///     probe, the sink runs on the thread that called run(), as the merge
+///     frontier passes each reply; once they have joined, the rest goes
+///     out on a pool thread, one shard per claim. Never two threads at
+///     once for one shard, and each delivery happens-before the next, but
+///     the sinks of different split shards may run concurrently in the
+///     tail — the same as unsplit sinks on their workers. Same replies,
+///     deterministic order, at any thread count.
 struct Shard {
   ProbeSource* source = nullptr;  ///< order generator; must outlive run()
   Endpoint endpoint;              ///< wire identity probes leave with
@@ -130,17 +134,26 @@ struct alignas(64) WorkerPerf {
   std::uint64_t ring_high_water = 0;  ///< deepest ring fill observed
 };
 
-/// Wall-clock telemetry for the streaming merge (the run() caller thread).
+/// Wall-clock telemetry for the streaming merge (the run() caller thread,
+/// plus the pool its tail fans out over).
 struct MergePerf {
-  /// Wall time of the caller's merge loop, from first worker spawn to
-  /// final flush, idle yields included — so it tracks the run's wall time,
-  /// not the merger's load. Busy time is drain_seconds - idle_seconds.
+  /// Wall time of the merge, from first worker spawn to the end of the
+  /// tail, idle yields included — so it tracks the run's wall time, not
+  /// the merger's load. Busy time is drain_seconds - idle_seconds.
   double drain_seconds = 0.0;
-  /// Of which: yielding after a pass that drained nothing from any ring.
+  /// Of which: yielding after a pass that drained nothing from any ring
+  /// and found nothing to emit.
   double idle_seconds = 0.0;
-  /// Of which: after the last worker exited (the non-overlapped tail).
+  /// Of which: after the workers joined (the tail: the last ring drain,
+  /// then the split-shard sinks fanned over the pool while the caller
+  /// appends the rest of the global stream).
   double tail_seconds = 0.0;
+  /// Replies the merge delivered: handed to a split shard's sink and/or
+  /// appended to ParallelResult::replies, each counted once. Equals
+  /// probe_stats.replies when the global stream is collected.
   std::uint64_t replies_merged = 0;
+  /// Of which: delivered in the tail, after the workers joined.
+  std::uint64_t tail_replies = 0;
 };
 
 /// The deterministically merged outcome of a sharded campaign. Everything
@@ -181,10 +194,10 @@ struct ParallelResult {
 struct ParallelRunOptions {
   /// Collect the deterministically merged global reply stream. Campaigns
   /// that consume only per-shard sinks and stats can turn this off to skip
-  /// the per-reply recording and the serial merge sort entirely
+  /// the per-reply recording and the merge entirely
   /// (ParallelResult::replies comes back empty; everything else is
   /// unchanged and still bit-identical across thread counts). Split shards
-  /// with sinks still record internally — their post-hoc sink delivery
+  /// with sinks still record internally — their merged sink delivery
   /// needs the canonical order — but the global stream stays empty.
   bool collect_replies = true;
   /// Deterministic over-decomposition: every shard's source is asked to

@@ -5,6 +5,8 @@
 // siblings are parked at the family's barrier, CampaignReactor::drain()
 // over a worker pool, and the serial step() loop — and must never hang the
 // pool, the merger or the barrier (ctest's per-test TIMEOUT is the bound).
+// A split shard's sink that throws, on the merging caller or on the tail
+// pool, must surface from ParallelCampaignRunner::run the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,6 +137,37 @@ class FamilySource final : public ProbeSource {
   std::span<const Ipv6Addr> targets_;
 };
 
+/// Probes [lo, hi) of an endless walk cycling over the targets, one TTL
+/// per lap, so a handful of targets yields thousands of replies — more
+/// than one reply ring holds. split(k) slices the range contiguously.
+class FloodSource final : public ProbeSource {
+ public:
+  FloodSource(std::span<const Ipv6Addr> targets, std::size_t lo, std::size_t hi)
+      : targets_(targets), next_(lo), hi_(hi) {}
+
+  Poll next(std::uint64_t) override {
+    if (next_ == hi_) return Poll::exhausted();
+    const std::size_t i = next_++;
+    return Poll::emit({targets_[i % targets_.size()],
+                       static_cast<std::uint8_t>(1 + i / targets_.size() % 16)});
+  }
+
+  [[nodiscard]] std::vector<std::unique_ptr<ProbeSource>> split(
+      std::uint64_t k) const override {
+    std::vector<std::unique_ptr<ProbeSource>> out;
+    for (std::uint64_t i = 0; i < k; ++i)
+      out.push_back(std::make_unique<FloodSource>(
+          targets_, next_ + (hi_ - next_) * i / k,
+          next_ + (hi_ - next_) * (i + 1) / k));
+    return out;
+  }
+
+ private:
+  std::span<const Ipv6Addr> targets_;
+  std::size_t next_;
+  std::size_t hi_;
+};
+
 class WorkerFailureTest : public ::testing::Test {
  protected:
   WorkerFailureTest() : topo_(simnet::TopologyParams{}), targets_(make_targets(40)) {}
@@ -199,6 +232,52 @@ TEST_F(WorkerFailureTest, EpochFamilyMemberFailsWhileSiblingsAreParked) {
                    WorkerFailure);
       // The failed member never arrives, so epoch 2 never merges.
       EXPECT_EQ(family.barrier->merges, 1);
+    }
+  }
+}
+
+// A split shard's sink runs on the merging caller while workers probe and
+// on the tail pool once they have joined. A sink throwing in either place
+// must surface from run() with every thread joined: workers blocked on a
+// full reply ring give up once the run has failed, and a tail failure
+// stops the fan-out. The first call fails while the floods are still
+// streaming (at one worker, tens of ring-fulls are still to come); the
+// last call fails in whichever phase delivers it.
+TEST_F(WorkerFailureTest, ParallelRunRethrowsASplitSinkFailure) {
+  constexpr std::size_t kProbes = 20000;
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool collect : {true, false}) {
+      // Three split floods; the middle shard's sink throws at its
+      // `throw_at`-th call (never, when 0) and counts its calls.
+      std::size_t seen = 0;
+      auto run = [&](std::size_t throw_at) {
+        seen = 0;
+        std::vector<std::unique_ptr<FloodSource>> sources;
+        std::vector<Shard> shards;
+        for (std::size_t i = 0; i < 3; ++i) {
+          sources.push_back(std::make_unique<FloodSource>(targets_, 0, kProbes));
+          ResponseSink sink;
+          if (i == 1)
+            sink = [&seen, throw_at](const wire::DecodedReply&) {
+              if (++seen == throw_at) throw WorkerFailure{"sink failed"};
+            };
+          shards.push_back({sources.back().get(), endpoint(),
+                            PacingPolicy::uniform(2000), std::move(sink)});
+        }
+        const ParallelCampaignRunner runner{topo_, {}, threads};
+        return runner.run(shards,
+                          {.collect_replies = collect, .split_factor = 4});
+      };
+      const std::size_t calls = run(0).per_shard[1].replies;
+      ASSERT_EQ(seen, calls);
+      ASSERT_GT(calls, 4u * 1024) << "the floods must overfill a reply ring";
+      for (const std::size_t throw_at : {std::size_t{1}, calls}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads, collect "
+                                        << collect << ", throw at call "
+                                        << throw_at << " of " << calls);
+        EXPECT_THROW((void)run(throw_at), WorkerFailure);
+        EXPECT_EQ(seen, throw_at);
+      }
     }
   }
 }

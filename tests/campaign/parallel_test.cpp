@@ -148,6 +148,31 @@ TEST_F(ParallelCampaignTest, MergeIdleTimeIsPartOfDrainTime) {
   EXPECT_LE(result.merge_perf.idle_seconds, result.merge_perf.drain_seconds);
 }
 
+TEST_F(ParallelCampaignTest, MergeCountsEveryReplyOnce) {
+  // Every reply is merged exactly once, either while the workers probe or
+  // in the tail after they join, whichever way the race between the
+  // workers and the merger goes.
+  const auto t = targets(40);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const std::uint64_t split : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, split " << split);
+      auto set = make_shards(t, 4);
+      std::vector<std::uint64_t> calls(set.shards.size());
+      for (std::size_t i = 0; i < set.shards.size(); ++i)
+        set.shards[i].sink = [&n = calls[i]](const wire::DecodedReply&) { ++n; };
+      const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+      const auto result = runner.run(set.shards, {.split_factor = split});
+      const MergePerf& m = result.merge_perf;
+      for (std::size_t i = 0; i < calls.size(); ++i)
+        EXPECT_EQ(calls[i], result.per_shard[i].replies) << "shard " << i;
+      EXPECT_EQ(m.replies_merged, result.probe_stats.replies);
+      EXPECT_EQ(m.replies_merged, result.replies.size());
+      EXPECT_LE(m.tail_replies, m.replies_merged);
+      EXPECT_LE(m.tail_seconds, m.drain_seconds);
+    }
+  }
+}
+
 TEST_F(ParallelCampaignTest, ParallelEqualsSerialReplicaRuns) {
   const auto t = targets(45);
   auto parallel_set = make_shards(t, 4);

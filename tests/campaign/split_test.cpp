@@ -2,14 +2,17 @@
 // ParallelRunOptions::split_factor): yarrp6's split(k) of a full walk must
 // *be* the classic shard/shard_count partition (and compose with parent
 // sharding), results at a fixed split_factor must be bit-identical across
-// 1/2/8 worker threads (including post-hoc sink delivery for split shards),
+// 1/2/8 worker threads (including merged sink delivery for split shards,
+// which must be exactly each shard's slice of the merged stream),
 // unsplittable sources must fall back to whole-shard runs, sequential must
 // partition its target range exactly, and empty/one-probe subshards must be
 // harmless.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "campaign/parallel.hpp"
@@ -333,6 +336,68 @@ TEST_F(SplitCampaignTest, EmptyAndOneProbeSubshards) {
   const auto empty_result = runner.run(none, {.split_factor = 4});
   EXPECT_EQ(empty_result.probe_stats.probes_sent, 0u);
   EXPECT_TRUE(empty_result.replies.empty());
+}
+
+// Each split shard's sink must see exactly its own slice of the merged
+// stream, in merged order, whichever thread delivers it — the caller while
+// workers probe, or a pool thread once they have joined — and whether or
+// not the global stream is collected. Three split shapes ride together:
+// a free-running yarrp6 walk, a sequential range and a Doubletree epoch
+// family.
+TEST_F(SplitCampaignTest, SplitSinkCallsAreTheMergedStreamPerShard) {
+  const auto t = targets(60);
+  using SinkLog = std::vector<wire::DecodedReply>;
+  constexpr std::size_t kShards = 3;
+
+  auto run = [&](unsigned threads, bool collect,
+                 std::array<SinkLog, kShards>& logs) {
+    const auto ycfg = yarrp_cfg();
+    prober::Yarrp6Source yarrp{ycfg, t};
+    prober::SequentialConfig scfg;
+    scfg.src = topo_.vantages()[1].src;
+    scfg.pps = 2000;
+    scfg.max_ttl = 8;
+    prober::SequentialSource seq{scfg, t};
+    prober::DoubletreeConfig dcfg;
+    dcfg.src = topo_.vantages()[2].src;
+    dcfg.pps = 2000;
+    dcfg.max_ttl = 10;
+    dcfg.start_ttl = 6;
+    dcfg.window = 4;  // small window: epochs really cross barriers mid-run
+    prober::StopSet stop_set;
+    prober::DoubletreeSource dt{dcfg, t, stop_set};
+    auto log_into = [&logs](std::size_t i) {
+      return [&log = logs[i]](const wire::DecodedReply& r) { log.push_back(r); };
+    };
+    const std::vector<Shard> shards{
+        {&yarrp, ycfg.endpoint(), ycfg.pacing(), log_into(0)},
+        {&seq, scfg.endpoint(), scfg.pacing(), log_into(1)},
+        {&dt, dcfg.endpoint(), dcfg.pacing(), log_into(2)},
+    };
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    return runner.run(shards, {.collect_replies = collect, .split_factor = 4});
+  };
+
+  std::optional<std::array<SinkLog, kShards>> first;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    std::array<SinkLog, kShards> collected;
+    const auto result = run(threads, /*collect=*/true, collected);
+    ASSERT_GT(result.replies.size(), 0u);
+    for (std::size_t i = 0; i < kShards; ++i) {
+      SinkLog expected;
+      for (const auto& r : result.replies)
+        if (r.shard == i) expected.push_back(r.reply);
+      EXPECT_GT(expected.size(), 0u) << "shard " << i;
+      EXPECT_EQ(collected[i], expected) << "shard " << i;
+    }
+    std::array<SinkLog, kShards> sinks_only;
+    const auto quiet = run(threads, /*collect=*/false, sinks_only);
+    EXPECT_TRUE(quiet.replies.empty());
+    EXPECT_EQ(sinks_only, collected);
+    if (!first) first = collected;
+    EXPECT_EQ(collected, *first);
+  }
 }
 
 // With collect_replies off, a split shard's sink must still see every
