@@ -18,6 +18,10 @@
 // 1-core host the thread passes still gate determinism but measure
 // scheduling overhead, not scaling.
 //
+// The JSON also records the process's peak RSS (getrusage high-water mark
+// over every pass), the memory trajectory of the reactor's per-tenant
+// replicas, merged stream and drain buffers.
+//
 // Usage: bench_reactor [scale] [out.json]   (defaults: 1.0 BENCH_reactor.json)
 //        scale multiplies the 1k/10k campaign counts (CI runs 0.1).
 #include <algorithm>
@@ -28,6 +32,8 @@
 #include <numeric>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "campaign/reactor.hpp"
 #include "netbase/rng.hpp"
@@ -299,14 +305,18 @@ int main(int argc, char** argv) {
                  "    \"%s_p50_sched_us\": %.3f,\n"
                  "    \"%s_p99_sched_us\": %.3f,\n"
                  "    \"%s_submit_seconds\": %.3f,\n"
-                 "    \"%s_drain8_seconds\": %.3f%s\n",
+                 "    \"%s_drain8_seconds\": %.3f,\n",
                  names[i], r.campaigns, names[i],
                  static_cast<unsigned long long>(r.probes), names[i],
                  static_cast<unsigned long long>(r.replies), names[i],
                  r.probes_per_sec, names[i], r.p50_sched_us, names[i],
                  r.p99_sched_us, names[i], r.submit_seconds, names[i],
-                 r.drain8_seconds, i + 1 < reports.size() ? "," : "");
+                 r.drain8_seconds);
   }
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
+  std::fprintf(out, "    \"peak_rss_mb\": %.1f\n",
+               static_cast<double>(usage.ru_maxrss) / 1024.0);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"determinism\": {\"thread_invariant\": %s, "
                "\"permutation_invariant\": %s}\n",

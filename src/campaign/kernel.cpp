@@ -23,21 +23,25 @@ EpochFamily::EpochFamily(EpochBarrier* barrier, std::vector<ProbeSource*> member
   resumed_.reserve(members_.size());
 }
 
-std::span<const std::uint32_t> EpochFamily::arrive(std::size_t m, bool exhausted) {
+bool EpochFamily::arrive(std::size_t m, bool exhausted) {
   B6_DCHECK(state_[m] == State::kRunning,
             "epoch-family member arrived twice in one epoch — the "
             "EpochBarrier schedule is broken");
   B6_DCHECK(waiting_ > 0, "more barrier arrivals than live family members");
   state_[m] = exhausted ? State::kExhausted : State::kParked;
   if (exhausted) --live_;
-  resumed_.clear();
-  if (--waiting_ != 0) return {};
-  // Last arrival: every member is parked or exhausted, i.e. quiescent —
-  // the single-threaded merge window of the protocol. The merge runs even
+  return --waiting_ == 0;
+}
+
+std::span<const std::uint32_t> EpochFamily::close() {
+  B6_DCHECK(waiting_ == 0, "epoch closed before its last arrival");
+  // Every member is parked or exhausted, i.e. quiescent — the
+  // single-threaded merge window of the protocol. The merge runs even
   // when the last arrival is the last exhaustion, which is what publishes
   // a Doubletree family's final stop set.
   barrier_->merge_epoch();
   waiting_ = live_;
+  resumed_.clear();
   for (std::uint32_t i = 0; i < state_.size(); ++i) {
     if (state_[i] != State::kParked) continue;
     state_[i] = State::kRunning;
@@ -72,14 +76,27 @@ std::optional<std::size_t> Scheduler::claim() {
 }
 
 void Scheduler::report(std::size_t u, bool done) {
-  netbase::MutexLock lock{mu_};
-  if (done) --unfinished_;
-  if (family_of_[u] >= 0) {
-    // The mutex makes every member's delta writes visible to the merge.
-    Family& f = families_[static_cast<std::size_t>(family_of_[u])];
-    for (const std::uint32_t m : f.epochs.arrive(u - f.first, done))
-      ready_.push_back(f.first + m);
+  Family* closing = nullptr;
+  {
+    netbase::MutexLock lock{mu_};
+    if (done) --unfinished_;
+    if (family_of_[u] >= 0) {
+      Family& f = families_[static_cast<std::size_t>(family_of_[u])];
+      if (f.epochs.arrive(u - f.first, done)) closing = &f;
+    }
+    if (closing == nullptr) {
+      cv_.notify_all();
+      return;
+    }
   }
+  // The epoch's last arrival merges with the mutex released: acquiring it
+  // above made every member's writes visible, and no worker touches the
+  // family until its survivors are requeued below, so other units keep
+  // being claimed while a barrier merges (a reactor window flush runs the
+  // tenant's sink here).
+  const auto resumed = closing->epochs.close();
+  netbase::MutexLock lock{mu_};
+  for (const std::uint32_t m : resumed) ready_.push_back(closing->first + m);
   cv_.notify_all();
 }
 

@@ -16,7 +16,9 @@
 //
 // What stays in the engines is how work becomes units: the runner steals
 // (sub)shards and drives epoch families across workers; the reactor claims
-// whole campaigns in admission order and drives a family on one worker.
+// coupled campaigns whole, in admission order, and steals the members of a
+// free split campaign, coupled into a Scheduler::Family whose barrier is
+// the reactor's window flush.
 #pragma once
 
 #include <atomic>
@@ -41,21 +43,26 @@ namespace beholder6::campaign {
 std::size_t pool_size(unsigned n_threads);
 
 /// Epoch-barrier arrival bookkeeping for one split family (the protocol on
-/// EpochBarrier). Not synchronized itself: the parallel runner calls it
-/// under its Scheduler's mutex, the reactor from the one thread driving
-/// the campaign — either way every member is quiescent when it merges.
+/// EpochBarrier). Not synchronized itself: a Scheduler calls arrive()
+/// under its mutex and close() after releasing it (the runner's families
+/// and the reactor's windows), the reactor's whole-campaign units both
+/// from the one thread driving the campaign — either way every member is
+/// quiescent when the family merges.
 class EpochFamily {
  public:
   EpochFamily() = default;
   /// `members` in canonical order, all returning `barrier`.
   EpochFamily(EpochBarrier* barrier, std::vector<ProbeSource*> members);
 
-  /// Member `m` paused at its epoch boundary, or exhausted. The epoch's
-  /// last live arrival runs merge_epoch(), epoch_resume()s every parked
-  /// member and returns their indexes in canonical order for the caller to
-  /// reschedule; any other arrival returns an empty span. The span is
-  /// valid until the next arrive().
-  std::span<const std::uint32_t> arrive(std::size_t m, bool exhausted);
+  /// Member `m` paused at its epoch boundary, or exhausted. True for the
+  /// epoch's last live arrival: every member is now parked or exhausted,
+  /// and the caller must close() the epoch before any member runs again.
+  [[nodiscard]] bool arrive(std::size_t m, bool exhausted);
+
+  /// The last arrival's merge window: run merge_epoch(), epoch_resume()
+  /// every parked member and return their indexes in canonical order for
+  /// the caller to reschedule. The span is valid until the next close().
+  std::span<const std::uint32_t> close();
 
   [[nodiscard]] EpochBarrier* barrier() const { return barrier_; }
   [[nodiscard]] std::size_t size() const { return state_.size(); }
@@ -77,14 +84,18 @@ class EpochFamily {
 /// The worker pool: a FIFO of claimable unit indexes plus the epoch-family
 /// bookkeeping, everything mutable guarded by one mutex. Free units leave
 /// the queue once; family units cycle through it once per epoch, requeued
-/// by their family's barrier merge. The claim order never touches results
-/// (free units are independent; family merges are ordered by the barrier
-/// protocol, not by arrival).
+/// at the back by their family's barrier merge — the fairness rule: every
+/// unit already waiting runs before a family's next epoch. The claim order
+/// never touches results (free units are independent; family merges are
+/// ordered by the barrier protocol, not by arrival).
 ///
 /// The B6_GUARDED_BY annotations make the Clang thread-safety pass (CI
 /// `thread-safety` job) prove that every touch of the queue, the family
-/// state and the error slot happens under the mutex. Per-unit state in the
-/// engines deliberately stays outside: exactly one worker owns a unit
+/// state and the error slot happens under the mutex — save one: the
+/// epoch's last arrival runs its family's close() (the barrier merge) with
+/// the mutex released, when every member is parked or exhausted and none
+/// is queued, so no other worker can reach that family. Per-unit state in
+/// the engines deliberately stays outside: exactly one worker owns a unit
 /// between claim() and report(), and the mutex hand-off in those two calls
 /// is what publishes its writes to the next claimant — a transfer the
 /// analysis cannot express, so the contract lives here in words instead.

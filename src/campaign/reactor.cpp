@@ -1,6 +1,8 @@
 #include "campaign/reactor.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 #include <utility>
 
 #include "netbase/dcheck.hpp"
@@ -19,7 +21,71 @@ bool merged_less(const ReactorReply& a, const ReactorReply& b) {
   return a.seq < b.seq;
 }
 
+/// A parallel drain's window over a free split campaign, in send gaps of
+/// its pacing rate. Each window costs one barrier round-trip through the
+/// scheduler and bounds the replies held per member to one window's
+/// worth. On perfbench service_elephant (4 hardware threads, three runs
+/// each) 1,024 gave 3.1–3.6M probes/s, 4,096 gave 3.3–3.8M, and 16,384
+/// gave 3.6–3.7M at 3–4 MB more peak RSS.
+constexpr double kWindowSlots = 4096;
+
 }  // namespace
+
+/// One free split campaign's window under a parallel drain(): the campaign
+/// is a Scheduler::Family over its live members' units and this is the
+/// family's EpochBarrier. Each member runs its slots due before `end_us`
+/// into its own buffer, then pauses; the kernel calls merge_epoch() once
+/// every member has paused or exhausted — on the last one's worker, with
+/// all of them quiescent — and requeues the paused ones at the back of the
+/// FIFO, behind every unit already waiting. The members' sources are
+/// free-running, so the family's epoch_resume() calls on them do nothing.
+struct CampaignReactor::Window final : EpochBarrier {
+  Campaign* campaign = nullptr;
+  std::vector<std::uint32_t> members;              // canonical order
+  std::vector<std::vector<ReactorReply>> buffers;  // per member, this window
+  std::vector<std::size_t> heads;                  // merge cursors
+  std::uint64_t span_us = 0;
+  std::uint64_t end_us = 0;  // members run the slots due before this
+  bool collect = false;
+  std::vector<ReactorReply> records;  // the flushed stream, when collected
+
+  /// Open the next window at the lowest live member due.
+  void advance() {
+    std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+    for (const std::uint32_t mi : members)
+      if (const auto local = campaign->members[mi].runner->next_due_us())
+        lo = std::min(lo, campaign->start_us + *local);
+    end_us = lo + std::min(span_us, std::numeric_limits<std::uint64_t>::max() - lo);
+  }
+
+  /// The window flush: every slot due before end_us has run and every
+  /// later one has not, so merging the buffers in (slot_us, member, seq)
+  /// order delivers exactly the serial step() loop's sequence for this
+  /// stretch of the tenant's virtual time.
+  void merge_epoch() override {
+    heads.assign(buffers.size(), 0);
+    const ReactorReply* last = nullptr;
+    for (;;) {
+      std::size_t best = buffers.size();
+      for (std::size_t j = 0; j < buffers.size(); ++j) {
+        if (heads[j] == buffers[j].size()) continue;
+        // Strict less: on equal dues the lower member, listed first, wins.
+        if (best == buffers.size() ||
+            buffers[j][heads[j]].slot_us < buffers[best][heads[best]].slot_us)
+          best = j;
+      }
+      if (best == buffers.size()) break;
+      const ReactorReply& r = buffers[best][heads[best]++];
+      B6_DCHECK2(last == nullptr || merged_less(*last, r),
+                 "window flush out of (slot_us, member, seq) order");
+      last = &r;
+      if (campaign->spec.sink) campaign->spec.sink(r.reply);
+      if (collect) records.push_back(r);
+    }
+    for (auto& b : buffers) b.clear();
+    advance();
+  }
+};
 
 CampaignReactor::CampaignReactor(const simnet::Topology& topo,
                                  simnet::NetworkParams params,
@@ -91,7 +157,7 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
                       mm.out->push_back({mm.slot_due, cp->spec.tenant, mi,
                                          mm.next_seq, mm.net->now_us(), r});
                     ++mm.next_seq;
-                    if (cp->spec.sink) cp->spec.sink(r);
+                    if (!mm.defer_sink && cp->spec.sink) cp->spec.sink(r);
                   });
   }
   if (EpochBarrier* b = children.empty() ? nullptr : sources[0]->epoch_barrier())
@@ -204,22 +270,27 @@ void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi,
   push(mi, due);
 }
 
+std::uint64_t CampaignReactor::step_member(Member& m, std::uint64_t slot_due) {
+  m.slot_due = slot_due;
+  (void)m.runner->step();
+  const std::uint64_t sent = m.runner->stats()[0].probes_sent;
+  const std::uint64_t delta = sent - m.probes_seen;
+  m.probes_seen = sent;
+  return delta;
+}
+
 template <typename PushFn>
 void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
                                std::uint64_t slot_due,
                                std::vector<ReactorReply>* out, PushFn&& push) {
   Member& m = c.members[mi];
-  m.slot_due = slot_due;
   m.out = out;
-  (void)m.runner->step();
+  const std::uint64_t delta = step_member(m, slot_due);
   m.out = nullptr;
 
   // Account this step's probes against the tenant's bucket and budget, at
   // the slot's own due time — tenant-local arithmetic only, which is what
   // keeps a parallel drain's per-campaign replay exact.
-  const std::uint64_t sent = m.runner->stats()[0].probes_sent;
-  const std::uint64_t delta = sent - m.probes_seen;
-  m.probes_seen = sent;
   c.probes_sent += delta;
   if (c.throttled && delta != 0)
     c.bucket.debit(static_cast<double>(delta), slot_due);
@@ -238,8 +309,8 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   if (c.family.barrier() != nullptr && (exhausted || m.source->epoch_paused())) {
     // Barrier arrival (an exhaustion counts); the last one resumes the
     // parked survivors at their own runner-local dues.
-    for (const std::uint32_t i : c.family.arrive(mi, exhausted))
-      reschedule_member(c, i, push);
+    if (c.family.arrive(mi, exhausted))
+      for (const std::uint32_t i : c.family.close()) reschedule_member(c, i, push);
   } else if (!exhausted) {
     reschedule_member(c, mi, push);
   }
@@ -273,20 +344,32 @@ std::size_t CampaignReactor::drain() {
     while (step()) ++n;
     return n;
   }
-  // Claimable work: whole running campaigns, in admission order.
-  // Campaigns are scheduling-independent (every scheduling input is
-  // tenant-local), so a worker driving one campaign off a campaign-local
-  // heap reproduces exactly the member interleaving the global heap would
-  // have given it — (due, tenant, member) decides on (due, member) within
-  // one tenant.
+  // Claimable work, in admission order. Campaigns are scheduling-
+  // independent (every scheduling input is tenant-local), so each becomes
+  // units of its own:
+  //   * a free split campaign — unthrottled, unbudgeted, no EpochBarrier —
+  //     one unit per live member, coupled into a Window family: its
+  //     members share nothing but the tenant sink, which the window flush
+  //     feeds in the serial order;
+  //   * any other campaign one whole unit, driven off a campaign-local
+  //     heap that reproduces exactly the member interleaving the global
+  //     heap would have given it — (due, tenant, member) decides on (due,
+  //     member) within one tenant. Coupled members stay together because
+  //     the order of their bucket debits, budget checks and barrier merges
+  //     decides their results.
   struct Unit {
     std::uint32_t campaign = 0;
     std::vector<std::uint32_t> seeds;  // detached members, dues in due_global
+    Window* window = nullptr;          // member units: the campaign's window
+    std::uint32_t pos = 0;             // member units: index in the window
     std::uint64_t max_due = 0;
+    std::uint64_t probes = 0;          // member units: probes sent
     std::size_t slots = 0;
     std::vector<ReactorReply> records;
   };
   std::vector<Unit> units;
+  std::deque<Window> windows;
+  std::vector<Scheduler::Family> families;
   for (const auto& owner : campaigns_) {
     Campaign& c = *owner;
     if (c.state != CampaignState::kRunning) continue;
@@ -295,20 +378,62 @@ std::size_t CampaignReactor::drain() {
     for (std::uint32_t i = 0; i < c.members.size(); ++i) {
       Member& m = c.members[i];
       if (!m.in_heap) continue;
-      // Detach from the global heap: the campaign now lives on a worker.
+      // Detach from the global heap: the campaign now lives on workers.
       m.in_heap = false;
       ++m.gen;
       --pending_;
       u.seeds.push_back(i);
     }
-    if (!u.seeds.empty()) units.push_back(std::move(u));
+    if (u.seeds.empty()) continue;
+    const bool free = c.members.size() > 1 && !c.throttled &&
+                      c.spec.probe_budget == 0 && c.family.barrier() == nullptr;
+    if (!free) {
+      units.push_back(std::move(u));
+      continue;
+    }
+    Window& w = windows.emplace_back();
+    w.campaign = &c;
+    w.members = u.seeds;
+    w.buffers.resize(w.members.size());
+    w.span_us = static_cast<std::uint64_t>(
+        std::max(1.0, kWindowSlots * 1e6 / c.spec.pacing.pps));
+    w.collect = options_.collect_merged;
+    w.advance();
+    std::vector<ProbeSource*> sources;
+    for (std::uint32_t j = 0; j < w.members.size(); ++j) {
+      Unit mu;
+      mu.campaign = c.index;
+      mu.window = &w;
+      mu.pos = j;
+      units.push_back(std::move(mu));
+      sources.push_back(c.members[w.members[j]].source);
+    }
+    families.push_back({units.size() - w.members.size(),
+                        EpochFamily{&w, std::move(sources)}});
   }
   if (units.empty()) return 0;
 
-  Scheduler pool{units.size()};
+  Scheduler pool{units.size(), std::move(families)};
   pool.run(std::min(workers, units.size()), [&](std::size_t, std::size_t ui) {
     Unit& u = units[ui];
     Campaign& c = *campaigns_[u.campaign];
+    if (u.window != nullptr) {
+      // One window of one free member: run its slots due before the
+      // window end into its buffer, then pause (or report exhaustion).
+      Member& m = c.members[u.window->members[u.pos]];
+      m.out = &u.window->buffers[u.pos];
+      m.defer_sink = true;
+      while (const auto local = m.runner->next_due_us()) {
+        const std::uint64_t due = c.start_us + *local;
+        if (due >= u.window->end_us) break;
+        u.max_due = std::max(u.max_due, due);
+        u.probes += step_member(m, due);
+        ++u.slots;
+      }
+      m.out = nullptr;
+      m.defer_sink = false;
+      return m.runner->done();
+    }
     SlotHeap heap;
     auto push = [&](std::uint32_t mi, std::uint64_t due) {
       heap.push(GSlot{due, c.spec.tenant, mi, c.index, c.members[mi].gen});
@@ -327,16 +452,28 @@ std::size_t CampaignReactor::drain() {
   });
 
   // Post-join, back on the control plane: merge records (any append order —
-  // merged() sorts canonically), advance the clock to the latest slot run,
-  // and settle retirements in campaign index order.
+  // merged() sorts canonically), account the free members' probes and
+  // exhaustions (their campaign's shared fields are never written by a
+  // worker), advance the clock to the latest slot run, and settle
+  // retirements in campaign index order.
   std::size_t slots = 0;
   merged_dirty_ = true;  // as after any step()
   for (Unit& u : units) {
+    Campaign& c = *campaigns_[u.campaign];
     merged_.insert(merged_.end(), u.records.begin(), u.records.end());
+    if (u.window != nullptr) {
+      c.probes_sent += u.probes;
+      B6_DCHECK(c.members[u.window->members[u.pos]].runner->done(),
+                "a free member left the drain unexhausted");
+      B6_DCHECK(c.live > 0, "member exhausted twice");
+      if (--c.live == 0) c.state = CampaignState::kFinished;
+    }
     now_us_ = std::max(now_us_, u.max_due);
-    settle(*campaigns_[u.campaign]);
+    settle(c);
     slots += u.slots;
   }
+  for (const Window& w : windows)
+    merged_.insert(merged_.end(), w.records.begin(), w.records.end());
   return slots;
 }
 

@@ -32,10 +32,13 @@
 // fire at the family's own arrival slots. No scheduling input ever reads
 // the global clock or another tenant's state, so each tenant's slot/reply
 // timeline is a pure function of its spec — which is what lets drain()
-// run whole campaigns on worker threads and still merge the exact stream
-// the serial step() loop produces. The canonical merged order is
-// (slot_us, tenant, member, seq); tests/campaign/reactor_test.cpp and
-// bench/reactor.cpp hold the 1/2/8-thread bit-identical gate.
+// run campaigns on worker threads and still merge the exact stream the
+// serial step() loop produces. A free split campaign goes further: its
+// members share nothing but the tenant sink, so drain() runs them on
+// separate workers and feeds the sink through window flushes in the
+// serial order. The canonical merged order is (slot_us, tenant, member,
+// seq); tests/campaign/reactor_test.cpp and bench/reactor.cpp hold the
+// 1/2/8-thread bit-identical gate.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +71,9 @@ struct CampaignSpec {
   /// Per-tenant incremental delivery, called for every decoded reply in
   /// arrival order (io::StreamingTraceSink is the intended adapter). The
   /// usual sink contract applies — observe and record, never inject — and
-  /// under a parallel drain() it runs on the worker driving this tenant,
-  /// so it must touch only tenant-local state.
+  /// under a parallel drain() it runs on a worker thread, one call at a
+  /// time per tenant (a free split campaign's calls may move between
+  /// workers, in order), so it must touch only tenant-local state.
   ResponseSink sink;
   /// Service-level throttle: this tenant's share of the *global* virtual
   /// clock, as a token bucket (tokens/s, capacity). <= 0 disables. The
@@ -225,8 +229,21 @@ class CampaignReactor {
   /// Drive every runnable campaign to quiescence, over n_threads workers
   /// when the options ask for it, and return the number of slots run.
   /// Thread count is wall-clock only: campaigns are scheduling-independent
-  /// (see the class comment), so workers drive whole campaigns and the
-  /// canonical merge reproduces the serial stream bit-identically.
+  /// (see the class comment), so the canonical merge reproduces the serial
+  /// stream bit-identically. Work units come in two kinds:
+  ///   * a *free* split campaign (more than one member, unthrottled, no
+  ///     probe budget, no EpochBarrier) gives one unit per live member.
+  ///     The members advance through bounded windows of virtual time
+  ///     (4,096 send gaps of the campaign's pacing): each runs its slots
+  ///     due in the window into a private buffer and pauses; the last to
+  ///     pause flushes the window — merging the buffers in (slot_us,
+  ///     member, seq) order into the tenant sink, the serial order — and
+  ///     the members go back to the end of the work queue, so campaigns
+  ///     queued behind run between the windows. Replies held at once are
+  ///     bounded by members × one window.
+  ///   * every other campaign is one unit, driven whole off a campaign-
+  ///     local heap: a shared bucket, budget or barrier makes the order of
+  ///     its members' slots part of its result.
   std::size_t drain();
 
   /// Forget every campaign and rewind the global clock to 0. The warmed
@@ -263,6 +280,7 @@ class CampaignReactor {
     std::unique_ptr<simnet::Network> net;
     std::unique_ptr<CampaignRunner> runner;
     std::vector<ReactorReply>* out = nullptr;  // record target for the step
+    bool defer_sink = false;  // replies go to `out` only; a window flush sinks them
     std::uint64_t slot_due = 0;    // the executing slot's scheduled due
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
     std::uint64_t next_seq = 0;    // per-member reply arrival index
@@ -304,6 +322,9 @@ class CampaignReactor {
   /// is constant within a campaign, so there (due, member) decides.
   using SlotHeap = std::priority_queue<GSlot, std::vector<GSlot>, std::greater<GSlot>>;
 
+  struct Window;  // a free split campaign's parallel-drain window
+
+  std::uint64_t step_member(Member& m, std::uint64_t slot_due);
   template <typename PushFn>
   void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due,
                 std::vector<ReactorReply>* out, PushFn&& push);

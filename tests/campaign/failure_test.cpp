@@ -6,7 +6,9 @@
 // over a worker pool, and the serial step() loop — and must never hang the
 // pool, the merger or the barrier (ctest's per-test TIMEOUT is the bound).
 // A split shard's sink that throws, on the merging caller or on the tail
-// pool, must surface from ParallelCampaignRunner::run the same way.
+// pool, must surface from ParallelCampaignRunner::run the same way, and so
+// must a free split reactor campaign's sink throwing inside a window flush
+// or one of its members throwing while its siblings are parked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -319,6 +321,131 @@ TEST_F(WorkerFailureTest, ReactorFamilyMemberFailsInParallelDrain) {
   ASSERT_TRUE(reactor.submit(spec).admitted());
   EXPECT_THROW(reactor.drain(), WorkerFailure);
   EXPECT_EQ(family.barrier->merges, 1);
+}
+
+// A free split campaign (unthrottled, unbudgeted, no barrier) runs member
+// by member under a parallel drain(), its replies held per window and
+// delivered to the tenant sink by whichever worker flushes the window. A
+// sink throwing there, at its first or its last call, must surface from
+// drain() with every thread joined.
+TEST_F(WorkerFailureTest, ReactorFreeSplitSinkFailureInParallelDrain) {
+  constexpr std::size_t kProbes = 20000;
+  for (const unsigned threads : {2u, 4u}) {
+    std::size_t seen = 0;
+    auto run = [&](std::size_t throw_at) {
+      seen = 0;
+      ReactorOptions options;
+      options.n_threads = threads;
+      CampaignReactor reactor{topo_, {}, options};
+      FloodSource flood{targets_, 0, kProbes};
+      ThrowingSource bystander{targets_, kNever};
+      CampaignSpec spec;
+      spec.tenant = 1;
+      spec.source = &flood;
+      spec.endpoint = endpoint();
+      spec.pacing = PacingPolicy::uniform(2000);
+      spec.split_factor = 4;
+      spec.sink = [&seen, throw_at](const wire::DecodedReply&) {
+        if (++seen == throw_at) throw WorkerFailure{"sink failed"};
+      };
+      const auto adm = reactor.submit(spec);
+      EXPECT_TRUE(adm.admitted());
+      spec.tenant = 2;
+      spec.source = &bystander;
+      spec.split_factor = 1;
+      spec.sink = {};
+      EXPECT_TRUE(reactor.submit(spec).admitted());
+      reactor.drain();
+      return reactor.stats(adm.handle)->replies;
+    };
+    const std::size_t calls = run(0);
+    ASSERT_EQ(seen, calls);
+    ASSERT_GT(calls, 0u);
+    for (const std::size_t throw_at : {std::size_t{1}, calls}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, throw at call "
+                                      << throw_at << " of " << calls);
+      EXPECT_THROW((void)run(throw_at), WorkerFailure);
+      EXPECT_EQ(seen, throw_at);
+    }
+  }
+}
+
+/// A free split family under burst pacing at 1,000 pps. Members 0..k-2
+/// send rounds of 10,000 probes at line rate, so one round puts their next
+/// slot 10 s out; the last member sends one probe per round and throws
+/// when its 6,000th probe (6 s) comes due. Once the first window has
+/// flushed, the siblings' next slots lie past the window the thrower fails
+/// in, so they are parked at the window barrier when it throws.
+class LaggardFamily final : public ProbeSource {
+ public:
+  LaggardFamily(std::span<const Ipv6Addr> targets, std::size_t round,
+                std::size_t rounds, std::size_t throw_at)
+      : targets_(targets), round_(round), left_(round * rounds), throw_at_(throw_at) {}
+
+  Poll next(std::uint64_t) override {
+    if (sent_ == throw_at_) throw WorkerFailure{"member failed mid-window"};
+    if (left_ == 0) return Poll::exhausted();
+    if (in_round_ == round_) {
+      in_round_ = 0;
+      return Poll::round_end();
+    }
+    ++in_round_;
+    --left_;
+    const std::size_t i = sent_++;
+    return Poll::emit({targets_[i % targets_.size()],
+                       static_cast<std::uint8_t>(1 + i / targets_.size() % 16)});
+  }
+
+  [[nodiscard]] std::vector<std::unique_ptr<ProbeSource>> split(
+      std::uint64_t k) const override {
+    std::vector<std::unique_ptr<ProbeSource>> out;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      if (i + 1 == k) {
+        out.push_back(std::make_unique<LaggardFamily>(targets_, 1, 8000, 6000));
+      } else {
+        out.push_back(std::make_unique<LaggardFamily>(targets_, 10000, 2, kNever));
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::span<const Ipv6Addr> targets_;
+  std::size_t round_;
+  std::size_t left_;
+  std::size_t throw_at_;
+  std::size_t sent_ = 0;
+  std::size_t in_round_ = 0;
+};
+
+TEST_F(WorkerFailureTest, ReactorFreeMemberFailsWhileSiblingsAreParked) {
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ReactorOptions options;
+    options.n_threads = threads;
+    CampaignReactor reactor{topo_, {}, options};
+    LaggardFamily family{targets_, 1, 1, kNever};
+    ThrowingSource bystander{targets_, kNever};
+    CampaignSpec spec;
+    spec.tenant = 1;
+    spec.source = &family;
+    spec.endpoint = endpoint();
+    spec.pacing = PacingPolicy::burst(1000, 1);
+    spec.split_factor = 4;
+    std::size_t replies = 0;
+    spec.sink = [&replies](const wire::DecodedReply&) { ++replies; };
+    ASSERT_TRUE(reactor.submit(spec).admitted());
+    spec.tenant = 2;
+    spec.source = &bystander;
+    spec.split_factor = 1;
+    spec.pacing = PacingPolicy::uniform(2000);
+    spec.sink = {};
+    ASSERT_TRUE(reactor.submit(spec).admitted());
+    EXPECT_THROW(reactor.drain(), WorkerFailure);
+    // The first window flushed, so the siblings' first rounds reached the
+    // sink before the failure.
+    EXPECT_GT(replies, 0u);
+  }
 }
 
 TEST_F(WorkerFailureTest, ReactorSerialStepRethrowsTheSourceFailure) {

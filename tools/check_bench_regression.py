@@ -13,6 +13,9 @@ wrong way by more than the threshold (default 25%). Tracked metrics:
   scaling.efficiency_8t                       higher is better
   churn.probes_per_sec_1t                     higher is better
   churn.probes_per_sec_8t                     higher is better
+  reactor.*_probes_per_sec                    higher is better
+  reactor.*_p99_sched_us                      lower is better
+  reactor.peak_rss_mb                         lower is better
 
 The `churn` metrics track throughput with a DynamicsSchedule live; the
 dynamics check on the hot path (a null test with no schedule, a cursor
@@ -35,27 +38,40 @@ baseline generations. `fast_path.probes_per_sec` has been in every
 baseline since the section existed, so its absence means broken wiring
 and exits 2.
 
-Warn-only is deliberate: CI machines are not the committed numbers'
-machine, runners are noisy neighbours, and the committed JSON itself says
-"compare like scales and machines only". The value of this check is the
-paper trail — a `::warning` annotation on the PR the moment the trajectory
-bends — not a gate that would flake on runner weather. A genuine
-regression shows up as the warning appearing on *every* run of a PR while
-neighbouring PRs stay quiet.
+Warn-only is deliberate: runners are noisy neighbours, and the committed
+JSON itself says "compare like scales and machines only". The value of
+this check is the paper trail — a `::warning` annotation on the PR the
+moment the trajectory bends — not a gate that would flake on runner
+weather. A genuine regression shows up as the warning appearing on
+*every* run of a PR while neighbouring PRs stay quiet.
 
-Exit codes: 0 always for comparisons (including a triggered warning);
-2 for operator errors (missing file, malformed JSON, missing required
-field) so a broken wiring of the check itself does fail loudly.
+Cross-machine comparisons are refused. Both JSONs carry a
+`machine.hardware_threads` stamp; when the stamps differ, or either is
+missing, the check prints both stamps and a `::notice`, compares nothing
+and exits 0. A 1-thread baseline against a 4-thread run measures the
+machine, not the change.
+
+Exit codes: 0 always for comparisons (including a triggered warning and
+a refused cross-machine pair); 2 for operator errors (missing file,
+malformed JSON, missing required field) so a broken wiring of the check
+itself does fail loudly. `--self-test` runs the check over built-in
+fixture pairs and exits 0 when every case gives its expected verdict,
+1 otherwise.
 
 Usage:
   tools/check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.25]
+  tools/check_bench_regression.py --self-test
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 # (dotted path, higher_is_better, required). Seconds metrics regress by
 # growing; throughput/speedup metrics regress by shrinking.
@@ -77,6 +93,8 @@ METRICS: list[tuple[str, bool, bool]] = [
     ("reactor.small_p99_sched_us", False, False),
     ("reactor.large_probes_per_sec", True, False),
     ("reactor.large_p99_sched_us", False, False),
+    # Peak RSS of the whole bench_reactor process, lower is better.
+    ("reactor.peak_rss_mb", False, False),
 ]
 
 
@@ -109,10 +127,38 @@ def lookup(doc: dict, path: str, src: str, required: bool) -> float | None:
     return float(node)
 
 
-def main() -> int:
+def hardware_threads(doc: dict) -> int | None:
+    """The JSON's machine.hardware_threads stamp, None when absent."""
+    machine = doc.get("machine")
+    threads = machine.get("hardware_threads") if isinstance(machine, dict) else None
+    if isinstance(threads, int) and not isinstance(threads, bool) and threads > 0:
+        return threads
+    return None
+
+
+def same_machine(base_doc: dict, fresh_doc: dict, base: str, fresh: str) -> bool:
+    """True when both stamps are present and equal; otherwise say why the
+    pair is refused."""
+    base_threads = hardware_threads(base_doc)
+    fresh_threads = hardware_threads(fresh_doc)
+    if base_threads is not None and base_threads == fresh_threads:
+        return True
+    def stamp(threads: int | None) -> str:
+        return "missing" if threads is None else str(threads)
+    print(f"baseline {base}: machine.hardware_threads {stamp(base_threads)}")
+    print(f"fresh    {fresh}: machine.hardware_threads {stamp(fresh_threads)}")
+    print("::notice title=bench comparison refused::the two runs do not carry "
+          "the same machine.hardware_threads stamp, so their numbers are not "
+          "comparable; nothing was compared. Rebaseline on this machine.")
+    return False
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline", help="committed BENCH_hotpath.json")
-    ap.add_argument("fresh", help="just-produced BENCH_hotpath.json")
+    ap.add_argument("baseline", nargs="?", help="committed BENCH_hotpath.json")
+    ap.add_argument("fresh", nargs="?", help="just-produced BENCH_hotpath.json")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the verdicts on built-in fixture pairs")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="warn when a metric moved the wrong way by more "
                          "than this fraction (default 0.25)")
@@ -122,7 +168,11 @@ def main() -> int:
                          "BENCH_reactor.json); a prefix selecting no known "
                          "metric, or one none of whose metrics appear in "
                          "the fresh JSON, exits 2 (broken wiring)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.self_test:
+        return run_self_test()
+    if args.baseline is None or args.fresh is None:
+        ap.error("BASELINE and FRESH are required")
 
     base_doc = load(args.baseline)
     fresh_doc = load(args.fresh)
@@ -135,6 +185,9 @@ def main() -> int:
         if all(lookup(fresh_doc, path, args.fresh, False) is None
                for path, _, _ in metrics):
             die(f"{args.fresh} has none of the --only {args.only!r} metrics")
+
+    if not same_machine(base_doc, fresh_doc, args.baseline, args.fresh):
+        return 0
 
     warned = False
     for path, higher_better, required in metrics:
@@ -162,6 +215,61 @@ def main() -> int:
             print(f"ok   {line}")
     if not warned:
         print("check_bench_regression: no metric crossed the threshold")
+    return 0
+
+
+def fixture(threads: int | None, probes_per_sec: float | None) -> dict:
+    doc: dict = {"fast_path": {}} if probes_per_sec is None else {
+        "fast_path": {"probes_per_sec": probes_per_sec}}
+    if threads is not None:
+        doc["machine"] = {"hardware_threads": threads}
+    return doc
+
+
+# (name, baseline, fresh, expected exit code, a line the output must hold,
+# a line it must not hold).
+SELF_TEST_CASES = [
+    ("same machine, within threshold", fixture(4, 1e6), fixture(4, 0.9e6),
+     0, "no metric crossed the threshold", "::warning"),
+    ("same machine, regressed", fixture(4, 1e6), fixture(4, 0.5e6),
+     0, "::warning", "no metric crossed"),
+    ("stamps differ", fixture(1, 1e6), fixture(4, 0.5e6),
+     0, "::notice", "fast_path.probes_per_sec"),
+    ("fresh stamp missing", fixture(4, 1e6), fixture(None, 0.5e6),
+     0, "machine.hardware_threads missing", "fast_path.probes_per_sec"),
+    ("baseline stamp missing", fixture(None, 1e6), fixture(4, 1e6),
+     0, "::notice", "no metric crossed"),
+    ("required metric missing", fixture(4, 1e6), fixture(4, None),
+     2, "has no fast_path.probes_per_sec", "::notice"),
+]
+
+
+def run_self_test() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, base_doc, fresh_doc, want_code, want, unwanted in SELF_TEST_CASES:
+            base = Path(tmp) / "base.json"
+            fresh = Path(tmp) / "fresh.json"
+            base.write_text(json.dumps(base_doc))
+            fresh.write_text(json.dumps(fresh_doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                try:
+                    code = main([str(base), str(fresh)])
+                except SystemExit as e:
+                    code = e.code
+            text = out.getvalue()
+            ok = code == want_code and want in text and unwanted not in text
+            print(f"self-test: {name}: exit {code} [{'ok' if ok else 'FAIL'}]")
+            if not ok:
+                failures += 1
+                print(f"  expected exit {want_code}, {want!r} present and "
+                      f"{unwanted!r} absent; output was:")
+                print("  " + text.replace("\n", "\n  ").rstrip())
+    if failures:
+        print(f"self-test: {failures} case(s) failed", file=sys.stderr)
+        return 1
+    print(f"self-test: {len(SELF_TEST_CASES)} case(s) verified")
     return 0
 
 
