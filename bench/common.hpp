@@ -105,7 +105,7 @@ struct World {
 
 /// Result of one yarrp6 campaign.
 struct Campaign {
-  prober::ProbeStats probe_stats;
+  campaign::ProbeStats probe_stats;
   simnet::NetworkStats net_stats;
   topology::TraceCollector collector;
 

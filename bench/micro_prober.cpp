@@ -85,6 +85,8 @@ void BM_TrieLpm(benchmark::State& state) {
 BENCHMARK(BM_TrieLpm);
 
 void BM_EndToEndProbe(benchmark::State& state) {
+  // Encode one probe and inject it through the allocation-free view API;
+  // the replies stay in the network's pool (nothing is copied out).
   static simnet::Topology topo{simnet::TopologyParams{}};
   simnet::NetworkParams np;
   np.unlimited = true;
@@ -98,7 +100,7 @@ void BM_EndToEndProbe(benchmark::State& state) {
     spec.target = Ipv6Addr::from_halves(as.prefixes[0].base().hi() | (x & 0xffffff), 1);
     spec.ttl = 1 + static_cast<std::uint8_t>(x % 16);
     spec.elapsed_us = static_cast<std::uint32_t>(net.now_us());
-    benchmark::DoNotOptimize(net.inject(wire::encode_probe(spec)));
+    benchmark::DoNotOptimize(net.inject_view(wire::encode_probe(spec)));
     net.advance_us(1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -107,7 +109,8 @@ BENCHMARK(BM_EndToEndProbe);
 
 void BM_EndToEndProbeBatch(benchmark::State& state) {
   // The batched-injection hook: same per-probe semantics as BM_EndToEndProbe,
-  // amortizing the call overhead across a line-rate burst.
+  // amortizing the call overhead across a line-rate burst (replies stay in
+  // the pool behind inject_batch_view).
   static simnet::Topology topo{simnet::TopologyParams{}};
   simnet::NetworkParams np;
   np.unlimited = true;
@@ -124,7 +127,7 @@ void BM_EndToEndProbeBatch(benchmark::State& state) {
     burst.push_back(wire::encode_probe(spec));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.inject_batch(burst));
+    benchmark::DoNotOptimize(net.inject_batch_view(burst));
     net.advance_us(64);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);

@@ -49,8 +49,10 @@ int main() {
     topology::TraceCollector c;
     prober::Yarrp6Config c1 = cfg;
     c1.src = world.topo.vantages()[0].src;
-    const auto st = prober::Yarrp6Prober{c1}.run(
-        net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    prober::Yarrp6Source src{c1, targets};
+    const auto st = campaign::CampaignRunner::run_one(
+        net, src, c1.endpoint(), c1.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     single_ifaces.insert(c.interfaces().begin(), c.interfaces().end());
     std::printf("%-26s %10s %12zu %10s %9.0f%%\n", "single (US-EDU-1)",
                 bench::human(static_cast<double>(st.probes_sent)).c_str(),
@@ -91,9 +93,10 @@ int main() {
     for (const auto& v : world.topo.vantages()) {
       prober::Yarrp6Config cv = cfg;
       cv.src = v.src;
-      probes += prober::Yarrp6Prober{cv}
-                    .run(net, targets,
-                         [&](const wire::DecodedReply& r) { c.on_reply(r); })
+      prober::Yarrp6Source src{cv, targets};
+      probes += campaign::CampaignRunner::run_one(
+                    net, src, cv.endpoint(), cv.pacing(),
+                    [&](const wire::DecodedReply& r) { c.on_reply(r); })
                     .probes_sent;
     }
     std::size_t exclusive = 0;

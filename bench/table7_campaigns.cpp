@@ -44,7 +44,7 @@ namespace {
 /// from that scope, so we pool raw samples rather than collector objects.
 struct CampaignRow {
   std::string name;
-  prober::ProbeStats stats;  // pooled via ProbeStats::operator+=
+  campaign::ProbeStats stats;  // pooled via ProbeStats::operator+=
   std::set<Ipv6Addr> targets;
   std::set<Ipv6Addr> interfaces;
   std::set<Prefix> bgp;
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
       const auto result = dt_runner.run(shards, {.split_factor = split_factor});
       const std::uint64_t digest = bench::reply_digest(result.replies);
       struct Report {
-        prober::ProbeStats stats;
+        campaign::ProbeStats stats;
         simnet::NetworkStats net;
         std::uint64_t digest;
         std::size_t stop_set_size;

@@ -71,12 +71,12 @@ Poll CampaignRunner::drain_zero_gap_window(Member& m, ProbeStats& stats,
   // A zero-gap burst window shares one send instant, so no reply can steer
   // a probe behind it in the same window — at line rate the packets are
   // already on the wire. That licenses batching: poll the source's whole
-  // window up front, inject it through Network::inject_batch, then deliver
-  // on_reply/on_probe_done per probe, in probe order, after the batch
-  // lands. Reply bytes, dispatch order, and network counters are identical
-  // to the probe-at-a-time path (inject_batch is semantically a loop of
-  // inject); only the feedback timing moves, and that is the defined
-  // semantics of a same-instant burst.
+  // window up front, inject it through Network::inject_batch_view, then
+  // deliver on_reply/on_probe_done per probe, in probe order, after the
+  // batch lands. Reply bytes, dispatch order, and network counters are
+  // identical to the probe-at-a-time path (inject_batch_view is
+  // semantically a loop of inject_view); only the feedback timing moves,
+  // and that is the defined semantics of a same-instant burst.
   window_buf_.clear();
   window_buf_.push_back(first);
   Poll terminal;

@@ -73,19 +73,6 @@ bool dispatch_replies(std::span<const simnet::Packet> replies,
   return answered;
 }
 
-/// The one injection contract every campaign path shares: encode the probe
-/// at the current virtual time, inject it, decode each reply and filter on
-/// the endpoint's instance id, handing survivors to `on_reply`. Returns
-/// true if at least one reply passed the filter.
-template <typename ReplyFn>
-bool inject_probe(simnet::Network& net, const Endpoint& endpoint,
-                  const Ipv6Addr& target, std::uint8_t ttl, ReplyFn&& on_reply) {
-  const auto replies =
-      net.inject_view(encode_probe_at(endpoint, target, ttl, net.now_us()));
-  return dispatch_replies(replies, endpoint, net.now_us(),
-                          std::forward<ReplyFn>(on_reply));
-}
-
 /// The event-driven scheduling core: drives any number of ProbeSources
 /// over one simnet::Network from a min-heap of (due virtual time, sequence)
 /// send slots, owning pacing, encode/inject, reply decode + dispatch, and

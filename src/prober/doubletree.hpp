@@ -15,8 +15,8 @@
 // fundamental limitations in the paper.
 //
 // DoubletreeSource emits the lockstep forward/backward order through the
-// pull API (burst pacing, like the sequential prober); DoubletreeProber is
-// the legacy one-campaign shim and keeps the cross-campaign stop set.
+// pull API (burst pacing, like the sequential prober). The caller owns the
+// StopSet, so one set can accumulate across campaigns.
 //
 // Sub-shard parallelism: the stop set used to make Doubletree the one
 // unsplittable ProbeSource (every trace reads and grows shared feedback
@@ -52,10 +52,10 @@ struct DoubletreeConfig : LockstepConfig {
 
 /// Shared stop-set type: interfaces already observed by some trace. This
 /// is the *legacy, serial* form — one mutable set read and grown by every
-/// trace as it runs, shareable across campaigns (DoubletreeProber keeps
-/// one across run() calls, Doubletree's original cooperating-monitor
-/// design). Split families use SnapshotStopSet instead and publish back
-/// into this set when they finish.
+/// trace as it runs. The caller owns it and may keep one across several
+/// campaigns (Doubletree's original cooperating-monitor design). Split
+/// families use SnapshotStopSet instead and publish back into this set
+/// when they finish.
 using StopSet = std::unordered_set<Ipv6Addr, Ipv6AddrHash>;
 
 /// Epoch-snapshotted stop set: the shared state of a split Doubletree
@@ -86,7 +86,7 @@ using StopSet = std::unordered_set<Ipv6Addr, Ipv6AddrHash>;
 ///     epoch by the same trace window, and across epochs forever.
 ///   * When the last child exhausts, the final barrier merge publishes the
 ///     union into the legacy StopSet the parent was constructed over, so
-///     cross-campaign accumulation (DoubletreeProber::stop_set_size) sees
+///     cross-campaign accumulation (the caller's StopSet size) sees
 ///     the same aggregate a serial run would have produced.
 ///
 /// Storage is netbase::FlatSet (open addressing, no per-node allocations):
@@ -232,22 +232,6 @@ class DoubletreeSource final : public campaign::ProbeSource {
   std::size_t epoch_done_ = 0;    // traces completed this epoch
   bool epoch_paused_ = false;     // at a boundary, awaiting the merge
   bool reported_exhausted_ = false;
-};
-
-/// Legacy facade preserving the old run() signature and exact behaviour.
-class DoubletreeProber {
- public:
-  explicit DoubletreeProber(const DoubletreeConfig& cfg) : cfg_(cfg) {}
-
-  ProbeStats run(simnet::Network& net, const std::vector<Ipv6Addr>& targets,
-                 const ResponseSink& sink);
-
-  /// Interfaces accumulated in the global (backward) stop set.
-  [[nodiscard]] std::size_t stop_set_size() const { return stop_set_.size(); }
-
- private:
-  DoubletreeConfig cfg_;
-  StopSet stop_set_;
 };
 
 }  // namespace beholder6::prober

@@ -57,8 +57,8 @@ struct MultiVantageOptions {
 };
 
 struct MultiVantageResult {
-  topology::TraceCollector collector;       // merged across vantages
-  std::vector<ProbeStats> per_vantage;      // parallel to the vantage list
+  topology::TraceCollector collector;             // merged across vantages
+  std::vector<campaign::ProbeStats> per_vantage;  // parallel to the vantage list
   [[nodiscard]] std::uint64_t total_probes() const {
     std::uint64_t n = 0;
     for (const auto& s : per_vantage) n += s.probes_sent;

@@ -5,27 +5,21 @@
 // campaign::CampaignRunner, which owns pacing, injection, reply dispatch
 // and statistics. The differences between them — probe *order* and clock
 // *pacing* — are exactly the variables the paper's §4.2 experiments
-// isolate. This header re-exports the shared campaign vocabulary under the
-// legacy prober:: names and keeps the one-shot send_probe helper.
+// isolate. This header holds the configuration they share: the vantage's
+// wire identity and rate, and the lockstep window of the burst-paced pair.
+// A campaign is `XSource src{cfg, targets}` driven by
+// `campaign::CampaignRunner::run_one(net, src, cfg.endpoint(), cfg.pacing(),
+// sink)`, or added to a multi-source CampaignRunner.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "campaign/probe_source.hpp"
 #include "netbase/ipv6.hpp"
-#include "simnet/network.hpp"
 #include "wire/probe.hpp"
 
 namespace beholder6::prober {
-
-/// Called for every decoded reply, in arrival order.
-using ResponseSink = campaign::ResponseSink;
-
-/// What a probing campaign reports about itself.
-using ProbeStats = campaign::ProbeStats;
 
 /// Base configuration shared by all probers.
 struct ProbeConfig {
@@ -60,10 +54,5 @@ struct LockstepConfig : ProbeConfig {
     return campaign::PacingPolicy::burst(pps, line_rate_gap_us);
   }
 };
-
-/// Encode, inject and decode one probe; returns true if a reply came back
-/// (the reply is forwarded to `sink` first). Pacing is the caller's job.
-bool send_probe(simnet::Network& net, const ProbeConfig& cfg, const Ipv6Addr& target,
-                std::uint8_t ttl, const ResponseSink& sink);
 
 }  // namespace beholder6::prober

@@ -2,17 +2,7 @@
 
 #include <algorithm>
 
-#include "campaign/runner.hpp"
-
 namespace beholder6::prober {
-
-bool send_probe(simnet::Network& net, const ProbeConfig& cfg, const Ipv6Addr& target,
-                std::uint8_t ttl, const ResponseSink& sink) {
-  return campaign::inject_probe(net, cfg.endpoint(), target, ttl,
-                                [&](const wire::DecodedReply& dec) {
-                                  if (sink) sink(dec);
-                                });
-}
 
 void Yarrp6Source::begin(std::uint64_t now_us) {
   if (targets_.empty() || cfg_.max_ttl == 0) {
@@ -136,13 +126,6 @@ std::optional<Ipv6Addr> Yarrp6Source::next_target_hint() const {
   if (fill_pending_) return fill_target_;
   if (pending_valid_) return targets_[pending_v_ / cfg_.max_ttl];
   return std::nullopt;
-}
-
-ProbeStats Yarrp6Prober::run(simnet::Network& net, const std::vector<Ipv6Addr>& targets,
-                             const ResponseSink& sink) {
-  Yarrp6Source source{cfg_, targets};
-  return campaign::CampaignRunner::run_one(net, source, cfg_.endpoint(),
-                                           cfg_.pacing(), sink);
 }
 
 }  // namespace beholder6::prober

@@ -227,11 +227,6 @@ std::span<const Packet> Network::inject_view(const Packet& probe) {
   return replies;
 }
 
-std::vector<Packet> Network::inject(const Packet& probe) {
-  const auto replies = inject_view(probe);
-  return {replies.begin(), replies.end()};
-}
-
 const BatchReplies& Network::inject_batch_view(std::span<const Packet> probes) {
   B6_DCHECK(!in_inject_,
             "Network::inject* is not reentrant: replies alias the shared "
@@ -251,18 +246,6 @@ const BatchReplies& Network::inject_batch_view(std::span<const Packet> probes) {
   }
   in_inject_ = false;
   return batch_;
-}
-
-std::vector<std::vector<Packet>> Network::inject_batch(
-    const std::vector<Packet>& probes) {
-  const auto& batch = inject_batch_view(probes);
-  std::vector<std::vector<Packet>> out;
-  out.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto replies = batch.of(i);
-    out.emplace_back(replies.begin(), replies.end());
-  }
-  return out;
 }
 
 void Network::inject_impl(const Packet& probe, PacketPool& out) {

@@ -22,9 +22,8 @@
 //     dependencies of Topology::path, see its contract — with hit/miss
 //     counters in NetworkStats and deterministic whole-cache eviction;
 //   * replies are built into a PacketPool whose buffers persist across
-//     probes; inject_view/inject_batch_view return views into it, and the
-//     allocating inject/inject_batch signatures remain as compatibility
-//     shims;
+//     probes; inject_view/inject_batch_view return views into it (a caller
+//     that keeps replies past the next inject copies them out);
 //   * the mutable lookup state (token buckets, learned interfaces,
 //     fragment-id counters, negative caches) lives in open-addressing
 //     FlatMap/FlatSet tables instead of node-based containers.
@@ -216,9 +215,6 @@ class Network {
   /// debug builds; observe, record, steer from callbacks, inject later.
   std::span<const Packet> inject_view(const Packet& probe);
 
-  /// Compatibility shim over inject_view: copies the replies out.
-  std::vector<Packet> inject(const Packet& probe);
-
   /// Inject a burst of probes that share one send instant; replies are
   /// grouped per probe, in order, over one shared packet pool. Semantically
   /// identical to calling inject_view() in a loop — this is the batching
@@ -227,9 +223,6 @@ class Network {
   /// inject*/reset call, and the same non-reentrancy rule as inject_view
   /// applies: callbacks must not inject into this Network.
   const BatchReplies& inject_batch_view(std::span<const Packet> probes);
-
-  /// Compatibility shim over inject_batch_view (copies everything out).
-  std::vector<std::vector<Packet>> inject_batch(const std::vector<Packet>& probes);
 
   /// Per-probe observation hook: called after every injected probe with the
   /// probe and its replies, before they reach the caller. The reply view is

@@ -28,17 +28,6 @@ std::optional<FragmentHeader> FragmentHeader::decode(
   return h;
 }
 
-std::vector<std::vector<std::uint8_t>> fragment_packet(
-    const std::vector<std::uint8_t>& packet, std::uint32_t identification,
-    std::size_t mtu) {
-  std::vector<std::vector<std::uint8_t>> out;
-  fragment_packet_into(std::span(packet), identification, mtu,
-                       [&]() -> std::vector<std::uint8_t>& {
-                         return out.emplace_back();
-                       });
-  return out;
-}
-
 std::optional<FragmentHeader> fragment_of(std::span<const std::uint8_t> packet) {
   const auto ip = Ipv6Header::decode(packet);
   if (!ip || ip->next_header != kFragmentNextHeader) return std::nullopt;

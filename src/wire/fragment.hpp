@@ -39,9 +39,9 @@ struct FragmentHeader {
 /// fragment header added). Returns the number of buffers filled; 0 for a
 /// malformed packet, in which case nothing is acquired.
 ///
-/// This is the hot-path form of fragment_packet: it builds no containers
-/// of its own, so a warm caller's reply path stays allocation-free
-/// (tools/check_noalloc.py walks through the instantiation).
+/// It builds no containers of its own, so a warm caller's reply path stays
+/// allocation-free (tools/check_noalloc.py walks through the
+/// instantiation).
 template <typename AcquireFn>
 std::size_t fragment_packet_into(std::span<const std::uint8_t> packet,
                                  std::uint32_t identification,
@@ -83,14 +83,6 @@ std::size_t fragment_packet_into(std::span<const std::uint8_t> packet,
   }
   return count;
 }
-
-/// Convenience form for cold callers and tests: the same fragments, each
-/// in a freshly allocated vector. The simnet reply path must not use this
-/// — it puts per-reply heap allocations on the inject fast path (that is
-/// how tools/check_noalloc.py originally caught it there).
-[[nodiscard]] std::vector<std::vector<std::uint8_t>> fragment_packet(
-    const std::vector<std::uint8_t>& packet, std::uint32_t identification,
-    std::size_t mtu = kMinMtu);
 
 /// If the packet carries a fragment header, return it.
 [[nodiscard]] std::optional<FragmentHeader> fragment_of(

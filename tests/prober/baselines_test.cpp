@@ -2,6 +2,7 @@
 // Doubletree's stop-set behaviour, including the rate-limiting pathology.
 #include <gtest/gtest.h>
 
+#include "campaign/runner.hpp"
 #include "prober/doubletree.hpp"
 #include "prober/sequential.hpp"
 #include "prober/yarrp6.hpp"
@@ -40,8 +41,10 @@ TEST_F(BaselineTest, SequentialTracesCompleteAtLowRate) {
   cfg.pps = 20;
   cfg.max_ttl = 16;
   topology::TraceCollector c;
-  const auto stats = SequentialProber{cfg}.run(
-      net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  SequentialSource src{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, src, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
   EXPECT_GT(stats.replies, 0u);
   for (const auto& [t, tr] : c.traces()) {
     // Hops must be contiguous from TTL 1 to the path end (no rate loss).
@@ -60,7 +63,9 @@ TEST_F(BaselineTest, SequentialStopsAtDestination) {
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 20;
   cfg.max_ttl = 32;
-  const auto stats = SequentialProber{cfg}.run(net, targets, nullptr);
+  SequentialSource src{cfg, targets};
+  const auto stats =
+      campaign::CampaignRunner::run_one(net, src, cfg.endpoint(), cfg.pacing());
   EXPECT_LT(stats.probes_sent, targets.size() * 32u);
 }
 
@@ -75,7 +80,9 @@ TEST_F(BaselineTest, SequentialGapLimitEndsDeadTraces) {
   cfg.pps = 20;
   cfg.max_ttl = 64;
   cfg.gap_limit = 4;
-  const auto stats = SequentialProber{cfg}.run(net, dead, nullptr);
+  SequentialSource src{cfg, dead};
+  const auto stats =
+      campaign::CampaignRunner::run_one(net, src, cfg.endpoint(), cfg.pacing());
   // Path to the "no route" router is ~6 hops; traces end well before 64.
   EXPECT_LT(stats.probes_sent, dead.size() * 24u);
 }
@@ -92,15 +99,19 @@ TEST_F(BaselineTest, DoubletreeUsesStopSet) {
   cfg.pps = 20;
   cfg.max_ttl = 16;
   cfg.start_ttl = 6;
-  DoubletreeProber dt{cfg};
-  const auto stats = dt.run(net, targets, nullptr);
-  EXPECT_GT(dt.stop_set_size(), 0u);
+  StopSet stop_set;
+  DoubletreeSource src{cfg, targets, stop_set};
+  const auto stats =
+      campaign::CampaignRunner::run_one(net, src, cfg.endpoint(), cfg.pacing());
+  EXPECT_GT(stop_set.size(), 0u);
   SequentialConfig scfg;
   scfg.src = cfg.src;
   scfg.pps = 20;
   scfg.max_ttl = 16;
   simnet::Network net2{topo_, simnet::NetworkParams{}};
-  const auto sstats = SequentialProber{scfg}.run(net2, targets, nullptr);
+  SequentialSource ssrc{scfg, targets};
+  const auto sstats =
+      campaign::CampaignRunner::run_one(net2, ssrc, scfg.endpoint(), scfg.pacing());
   EXPECT_LT(stats.probes_sent, sstats.probes_sent);
 }
 
@@ -125,8 +136,10 @@ TEST_F(BaselineTest, DoubletreeKeepsDrainingSilentHopsBackward) {
   // Count replies at TTL 1 in the second half of the run as a proxy: with a
   // functioning stop set they would be rare; with drained buckets the
   // prober keeps probing TTL 1 regardless of answers.
-  DoubletreeProber dt{cfg};
-  const auto stats = dt.run(net, targets, nullptr);
+  StopSet stop_set;
+  DoubletreeSource src{cfg, targets, stop_set};
+  const auto stats =
+      campaign::CampaignRunner::run_one(net, src, cfg.endpoint(), cfg.pacing());
   // Each trace got its own TTL-1 probe (no early stop on silence).
   (void)deep_backward_probes;
   EXPECT_GT(stats.probes_sent, targets.size() * 6u)
@@ -145,10 +158,12 @@ TEST_F(BaselineTest, DoubletreeDiscoveryFallsBetweenSequentialAndYarrp) {
   }
   targets.resize(std::min<std::size_t>(targets.size(), 400));
 
-  auto run_collect = [&](auto prober) {
+  auto run_collect = [&](campaign::ProbeSource& src, const auto& cfg) {
     simnet::Network net{topo_, simnet::NetworkParams{}};
     topology::TraceCollector c;
-    prober.run(net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    campaign::CampaignRunner::run_one(
+        net, src, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     return c.interfaces().size();
   };
 
@@ -163,9 +178,13 @@ TEST_F(BaselineTest, DoubletreeDiscoveryFallsBetweenSequentialAndYarrp) {
   dcfg.pps = 1000;
   dcfg.start_ttl = 6;
 
-  const auto y = run_collect(Yarrp6Prober{ycfg});
-  const auto s = run_collect(SequentialProber{scfg});
-  const auto d = run_collect(DoubletreeProber{dcfg});
+  Yarrp6Source ysrc{ycfg, targets};
+  SequentialSource ssrc{scfg, targets};
+  StopSet stop_set;
+  DoubletreeSource dsrc{dcfg, targets, stop_set};
+  const auto y = run_collect(ysrc, ycfg);
+  const auto s = run_collect(ssrc, scfg);
+  const auto d = run_collect(dsrc, dcfg);
   EXPECT_GT(y, s);
   EXPECT_GE(d, s) << "Doubletree should suffer less than plain sequential";
   EXPECT_GE(y, d) << "randomization should still win";

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "analysis/pathdiv.hpp"
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/dynamics.hpp"
 #include "simnet/network.hpp"
@@ -38,7 +39,7 @@ class FailureInjectionTest : public ::testing::Test {
     return out;
   }
 
-  topology::TraceCollector run(double loss, prober::ProbeStats* stats_out = nullptr) {
+  topology::TraceCollector run(double loss, campaign::ProbeStats* stats_out = nullptr) {
     NetworkParams np;
     np.unlimited = true;
     np.reply_loss = loss;
@@ -48,8 +49,11 @@ class FailureInjectionTest : public ::testing::Test {
     cfg.pps = 100000;
     cfg.max_ttl = 16;
     topology::TraceCollector c;
-    const auto stats = prober::Yarrp6Prober{cfg}.run(
-        net, university_targets(60), [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    const auto targets = university_targets(60);
+    prober::Yarrp6Source src{cfg, targets};
+    const auto stats = campaign::CampaignRunner::run_one(
+        net, src, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     if (stats_out) *stats_out = stats;
     last_net_stats_ = net.stats();
     return c;
@@ -60,7 +64,7 @@ class FailureInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FailureInjectionTest, LossRateIsRespected) {
-  prober::ProbeStats clean_stats, lossy_stats;
+  campaign::ProbeStats clean_stats, lossy_stats;
   (void)run(0.0, &clean_stats);
   const auto clean_lost = last_net_stats_.lost_replies;
   (void)run(0.3, &lossy_stats);
@@ -72,7 +76,7 @@ TEST_F(FailureInjectionTest, LossRateIsRespected) {
 }
 
 TEST_F(FailureInjectionTest, LossIsDeterministic) {
-  prober::ProbeStats a, b;
+  campaign::ProbeStats a, b;
   (void)run(0.25, &a);
   (void)run(0.25, &b);
   EXPECT_EQ(a.replies, b.replies);

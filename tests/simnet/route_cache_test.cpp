@@ -328,11 +328,11 @@ TEST_F(RouteCacheTest, TerminalUnreachablesSuppressPerFullAddress) {
     return wire::encode_probe(spec);
   };
 
-  EXPECT_EQ(net.inject(probe_of(*dead_a)).size(), 1u) << "first DU answered";
-  EXPECT_EQ(net.inject(probe_of(*dead_a)).size(), 0u) << "repeat suppressed";
-  EXPECT_EQ(net.inject(probe_of(*dead_b)).size(), 1u)
+  EXPECT_EQ(net.inject_view(probe_of(*dead_a)).size(), 1u) << "first DU answered";
+  EXPECT_EQ(net.inject_view(probe_of(*dead_a)).size(), 0u) << "repeat suppressed";
+  EXPECT_EQ(net.inject_view(probe_of(*dead_b)).size(), 1u)
       << "a distinct target must not be suppressed by its neighbour";
-  EXPECT_EQ(net.inject(probe_of(*dead_b)).size(), 0u);
+  EXPECT_EQ(net.inject_view(probe_of(*dead_b)).size(), 0u);
 }
 
 }  // namespace

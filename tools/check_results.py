@@ -20,9 +20,7 @@ which rewrites RESULTS.json from the current build. Every re-bless needs a
 CHANGES.md line saying why the results moved.
 
 Usage:
-  python3 tools/check_results.py [--build-dir build] [--jobs N]
-                                 [--ledger RESULTS.json] [--bless]
-                                 [--only NAME ...]
+  python3 tools/check_results.py [--build-dir build] [--bless]
 
 Exit codes: 0 when every digest matches (or after --bless), 1 on any
 mismatch or program failure, 2 on operator errors (missing build
@@ -40,6 +38,7 @@ import sys
 import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+LEDGER = REPO / "RESULTS.json"
 PATTERNS = ("bench_table*", "bench_fig*", "bench_study_*", "bench_ablation_*",
             "example_*")
 
@@ -92,44 +91,34 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--build-dir", default=str(REPO / "build"))
-    ap.add_argument("--ledger", default=str(REPO / "RESULTS.json"))
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     ap.add_argument("--bless", action="store_true",
-                    help="rewrite the ledger from this build")
-    ap.add_argument("--only", nargs="+", metavar="NAME",
-                    help="check only these programs (no --bless)")
+                    help="rewrite RESULTS.json from this build")
     opts = ap.parse_args()
 
     build_dir = pathlib.Path(opts.build_dir).resolve()
     if not build_dir.is_dir():
         print(f"check_results: no build directory {build_dir}", file=sys.stderr)
         return 2
-    if opts.bless and opts.only:
-        print("check_results: --bless rewrites the whole ledger; drop --only",
-              file=sys.stderr)
-        return 2
-
     ledger = {}
     if not opts.bless:
         try:
-            ledger = json.loads(pathlib.Path(opts.ledger).read_text())["programs"]
+            ledger = json.loads(LEDGER.read_text())["programs"]
         except (OSError, ValueError, KeyError) as exc:
-            print(f"check_results: cannot read ledger {opts.ledger}: {exc}",
+            print(f"check_results: cannot read ledger {LEDGER}: {exc}",
                   file=sys.stderr)
             return 2
 
     built = discover(build_dir)
-    names = opts.only or built
     failures = []
-    if not opts.bless and not opts.only:
-        for name in sorted(set(ledger) - set(built)):
-            failures.append(f"{name}: in the ledger but not built")
-        for name in sorted(set(built) - set(ledger)):
-            failures.append(f"{name}: built but not in the ledger (re-bless)")
-        names = sorted(set(built) & set(ledger))
+    if not opts.bless:
+        failures += [f"{n}: in the ledger but not built"
+                     for n in sorted(set(ledger) - set(built))]
+        failures += [f"{n}: built but not in the ledger (re-bless)"
+                     for n in sorted(set(built) - set(ledger))]
+    names = built if opts.bless else sorted(set(built) & set(ledger))
 
     results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         futures = [pool.submit(run_one, build_dir, n) for n in names]
         for fut in concurrent.futures.as_completed(futures):
             name, entry, seconds = fut.result()
@@ -139,9 +128,6 @@ def main():
                 failures.append(f"{name}: {verdict}")
             elif opts.bless:
                 verdict = "blessed"
-            elif name not in ledger:
-                verdict = "not in the ledger"
-                failures.append(f"{name}: {verdict}")
             elif ledger[name].get("args") != entry["args"]:
                 verdict = "ledger was blessed with other arguments (re-bless)"
                 failures.append(f"{name}: {verdict}")
@@ -164,8 +150,8 @@ def main():
                         "check and re-bless with tools/check_results.py"),
             "programs": {n: results[n] for n in sorted(results)},
         }
-        pathlib.Path(opts.ledger).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"\ncheck_results: blessed {len(results)} programs into {opts.ledger}")
+        LEDGER.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"\ncheck_results: blessed {len(results)} programs into {LEDGER}")
     else:
         print(f"\ncheck_results: {len(results)} programs match the ledger")
     return 0
