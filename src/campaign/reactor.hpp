@@ -37,8 +37,8 @@
 // members share nothing but the tenant sink, so drain() runs them on
 // separate workers and feeds the sink through window flushes in the
 // serial order. The canonical merged order is (slot_us, tenant, member,
-// seq); tests/campaign/reactor_test.cpp and bench/reactor.cpp hold the
-// 1/2/8-thread bit-identical gate.
+// seq); tests/campaign/reactor_test.cpp holds the 1/2/4/8-thread
+// bit-identical gate, perfbench's service_elephant golden the at-scale one.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,8 @@
 // distinct chains, not hundreds of thousands — stays small enough to live
 // in cache and under a handful of TLB entries, and both arrays sit on
 // 2 MB-page allocations (netbase::HugePageAllocator) so lookups skip the
-// page-walk tax where the kernel cooperates. bench/hotpath.cpp is the
-// regression harness for all of this.
+// page-walk tax where the kernel cooperates. perfbench's table7_sweep
+// probes/sec is the regression harness for all of this.
 //
 // Only what the inject path consumes is kept (interface, router id,
 // terminal disposition, origin ASN); Path stays the oracle-facing type.
